@@ -8,6 +8,20 @@
 //! it samples [`crate::model::TigFet::drain_current`] on a regular 4-D grid
 //! and answers interpolated queries in nanoseconds, which is what makes the
 //! transient simulations of Fig. 5 affordable.
+//!
+//! # Parallel fill
+//!
+//! Every sample is an independent `drain_current` call, so the build splits
+//! `data` into disjoint `(cg, pgs)` slabs of `pgd × vds` samples (169 slabs
+//! of 13 × 13 on the standard grid). Off-state slabs finish early in the
+//! transport kernel, so slabs are handed out one at a time: scoped worker
+//! threads, one per available core, pull the next slab from one shared,
+//! locked slab iterator. Each slab is written by exactly one worker with the
+//! same arithmetic as a serial loop, so the table is byte-identical whatever
+//! the core count or schedule.
+
+use std::num::NonZeroUsize;
+use std::sync::Mutex;
 
 use crate::model::{Bias, TigFet};
 
@@ -138,38 +152,56 @@ pub struct TigTable {
 /// Reference current of the asinh compression (amperes).
 const I_REF: f64 = 1.0e-12;
 
+/// Sample `fet` into row-major `[cg][pgs][pgd][vds]` order with `workers`
+/// threads, one `(cg, pgs)` slab at a time (see the module docs). With one
+/// worker the calling thread fills the slabs inline, in order.
+fn fill(fet: &TigFet, gate_axis: Axis, vds_axis: Axis, workers: usize) -> Vec<f64> {
+    let n_g = gate_axis.points;
+    let n_d = vds_axis.points;
+    let mut data = vec![0.0f64; n_g * n_g * n_g * n_d];
+    let fill_slab = |slab: usize, out: &mut [f64]| {
+        let v_cg = gate_axis.value(slab / n_g);
+        let v_pgs = gate_axis.value(slab % n_g);
+        for (ipgd, row) in out.chunks_mut(n_d).enumerate() {
+            let v_pgd = gate_axis.value(ipgd);
+            for (ids, sample) in row.iter_mut().enumerate() {
+                let i = fet.drain_current(Bias {
+                    v_cg,
+                    v_pgs,
+                    v_pgd,
+                    v_ds: vds_axis.value(ids),
+                });
+                *sample = (i / I_REF).asinh();
+            }
+        }
+    };
+    let slabs = Mutex::new(data.chunks_mut(n_g * n_d).enumerate());
+    // The guard drops when `next` returns, before the slab is filled.
+    let next = || slabs.lock().expect("table slab cursor poisoned").next();
+    let work = || {
+        while let Some((slab, out)) = next() {
+            fill_slab(slab, out);
+        }
+    };
+    // The calling thread is one of the workers.
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
+        }
+        work();
+    });
+    data
+}
+
 impl TigTable {
     /// Build a table by sampling `fet` on `gate_axis`³ × `vds_axis`.
     #[must_use]
     pub fn build(fet: &TigFet, gate_axis: Axis, vds_axis: Axis) -> Self {
-        let n_g = gate_axis.points;
-        let n_d = vds_axis.points;
-        let mut data = vec![0.0f64; n_g * n_g * n_g * n_d];
-        let mut idx = 0;
-        for icg in 0..n_g {
-            let v_cg = gate_axis.value(icg);
-            for ipgs in 0..n_g {
-                let v_pgs = gate_axis.value(ipgs);
-                for ipgd in 0..n_g {
-                    let v_pgd = gate_axis.value(ipgd);
-                    for ids in 0..n_d {
-                        let v_ds = vds_axis.value(ids);
-                        let i = fet.drain_current(Bias {
-                            v_cg,
-                            v_pgs,
-                            v_pgd,
-                            v_ds,
-                        });
-                        data[idx] = (i / I_REF).asinh();
-                        idx += 1;
-                    }
-                }
-            }
-        }
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         TigTable {
             gate_axis,
             vds_axis,
-            data,
+            data: fill(fet, gate_axis, vds_axis, workers),
             parasitics: Parasitics::from_geometry(&fet.geometry),
         }
     }
@@ -319,6 +351,51 @@ mod tests {
     fn shared_table() -> &'static TigTable {
         static TABLE: OnceLock<TigTable> = OnceLock::new();
         TABLE.get_or_init(|| TigTable::build_coarse(&TigFet::ideal()))
+    }
+
+    /// FNV-1a over the bit patterns of every stored sample: any change to
+    /// a single bit of `data` changes the hash.
+    fn data_hash(data: &[f64]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in data {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The coarse table of the ideal device, bit for bit. The hash was
+    /// taken before the transport kernel learned its early exit and the
+    /// fill went parallel; both must leave every sample unchanged.
+    #[test]
+    fn coarse_table_matches_golden_hash() {
+        assert_eq!(data_hash(&shared_table().data), 0xba44_3f31_65ce_ba58);
+    }
+
+    /// The standard table of the ideal device, bit for bit (pinned with
+    /// the coarse hash). Too slow for a debug build: run it with
+    /// `cargo test -p sinw-device --release -- --ignored`.
+    #[test]
+    #[ignore = "standard table is slow in debug builds; run with --release -- --ignored"]
+    fn standard_table_matches_golden_hash() {
+        let t = TigTable::build_standard(&TigFet::ideal());
+        assert_eq!(data_hash(&t.data), 0x8fba_22d6_0b4d_1b78);
+    }
+
+    /// The fill is byte-identical for any worker count, so a single-core
+    /// host still covers the threaded path.
+    #[test]
+    fn fill_is_independent_of_worker_count() {
+        let mut fet = TigFet::ideal();
+        fet.params.grid = crate::transport::EnergyGrid::coarse();
+        let (gate, vds) = (Axis::new(-1.2, 1.2, 9), Axis::new(0.0, 1.2, 7));
+        let expected = data_hash(&shared_table().data);
+        for workers in [1, 2, 3, 5] {
+            let data = fill(&fet, gate, vds, workers);
+            assert_eq!(data_hash(&data), expected, "workers = {workers}");
+        }
     }
 
     #[test]

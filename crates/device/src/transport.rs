@@ -15,9 +15,32 @@
 //! band) are integrated, which is what produces the ambipolar behaviour and,
 //! with the gate biases of Section III-C, the controllable-polarity
 //! conduction rule `CG = PGS = PGD`.
+//!
+//! # Early exit
+//!
+//! [`landauer_current`] drops every energy term whose transmission is at or
+//! below a transmission floor of `1e-15`. The WKB action only grows along
+//! the walk (each point adds a non-negative term), so once the running
+//! action passes a cutoff of 17.5 the transmission can be at most
+//! `exp(−2·17.5) ≈ 6.3e-16`, below the floor: the term would be discarded
+//! anyway, and the walk for that branch stops there. The margin between
+//! `6.3e-16` and `1e-15` keeps the argument independent of the last ulp of
+//! `exp`. Terms that survive walked every point in axial order, so the
+//! current is bit-identical to the uncut sum. [`wkb_transmission`] and
+//! [`hole_transmission`] run the same walk with no cutoff.
+
+use std::borrow::Cow;
 
 use crate::constants::{HBAR, H_PLANCK, M0, Q, VT};
 use crate::poisson::BandProfile;
+
+/// Transmissions at or below this value add nothing to the Landauer
+/// integral.
+const TRANSMISSION_FLOOR: f64 = 1e-15;
+
+/// Running WKB action past which [`landauer_current`] stops walking a
+/// branch: `exp(−2·ACTION_CUTOFF) ≈ 6.3e-16 < TRANSMISSION_FLOOR`.
+const ACTION_CUTOFF: f64 = 17.5;
 
 /// Energy-integration settings for the Landauer integral.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,6 +122,68 @@ pub fn fermi(e: f64, mu: f64) -> f64 {
     }
 }
 
+/// WKB decay constant per square-root eV, `sqrt(2 m q) / ħ`, for a
+/// tunneling mass of `mass_rel` m₀.
+fn tunnel_prefactor(mass_rel: f64) -> f64 {
+    (2.0 * mass_rel * M0 * Q).sqrt() / HBAR
+}
+
+/// The WKB walk along one band profile: the band-edge samples that carry
+/// action, in axial order (samples under a GOS plug are metallic and are
+/// left out), plus the profile's series break action and grid spacing.
+struct Walk<'a> {
+    points: Cow<'a, [f64]>,
+    blockage: f64,
+    dx: f64,
+}
+
+impl<'a> Walk<'a> {
+    fn new(profile: &'a BandProfile) -> Self {
+        let points = if profile.bypass.contains(&true) {
+            let shunted = |i: usize| profile.bypass.get(i).copied().unwrap_or(false);
+            Cow::Owned(
+                profile
+                    .e_c
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| !shunted(i))
+                    .map(|(_, &ec)| ec)
+                    .collect(),
+            )
+        } else {
+            Cow::Borrowed(profile.e_c.as_slice())
+        };
+        Walk {
+            points,
+            blockage: profile.blockage_action,
+            dx: profile.dx,
+        }
+    }
+
+    /// WKB action `blockage + Σ pref·√db·dx` over the points where the
+    /// local barrier `db = barrier(E_c)` is positive, summed in axial order.
+    /// The walk stops as soon as the running action exceeds `cutoff`; the
+    /// partial sum returned then is a lower bound of the full action. With
+    /// an infinite cutoff the full action is returned.
+    #[inline]
+    fn action(&self, pref: f64, cutoff: f64, barrier: impl Fn(f64) -> f64) -> f64 {
+        let mut action = self.blockage;
+        if action > cutoff {
+            return action;
+        }
+        for &ec in self.points.iter() {
+            let db = barrier(ec);
+            if db > 0.0 {
+                action += pref * db.sqrt() * self.dx;
+                if action > cutoff {
+                    break;
+                }
+            }
+        }
+        action
+    }
+}
+
 /// WKB transmission of a carrier at energy `e` through the barrier profile
 /// `barrier(x) − e` wherever positive.
 ///
@@ -110,17 +195,7 @@ pub fn wkb_transmission(e: f64, profile: &BandProfile, mass_rel: f64) -> f64 {
     // kappa(x) = sqrt(2 m (E_c - E) q) / hbar, integrate 2*kappa*dx over the
     // classically forbidden region. Samples under a GOS plug are metallic
     // and contribute no action; a nanowire break adds a fixed series action.
-    let pref = (2.0 * mass_rel * M0 * Q).sqrt() / HBAR;
-    let mut action = profile.blockage_action;
-    for (i, &ec) in profile.e_c.iter().enumerate() {
-        if profile.bypass.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        let db = ec - e;
-        if db > 0.0 {
-            action += pref * db.sqrt() * profile.dx;
-        }
-    }
+    let action = Walk::new(profile).action(tunnel_prefactor(mass_rel), f64::INFINITY, |ec| ec - e);
     (-2.0 * action).exp()
 }
 
@@ -128,18 +203,9 @@ pub fn wkb_transmission(e: f64, profile: &BandProfile, mass_rel: f64) -> f64 {
 /// valence-band edge `E_v(x) = E_c(x) − E_g` is **below** `e`.
 #[must_use]
 pub fn hole_transmission(e: f64, profile: &BandProfile, mass_rel: f64, e_gap: f64) -> f64 {
-    let pref = (2.0 * mass_rel * M0 * Q).sqrt() / HBAR;
-    let mut action = profile.blockage_action;
-    for (i, &ec) in profile.e_c.iter().enumerate() {
-        if profile.bypass.get(i).copied().unwrap_or(false) {
-            continue;
-        }
-        let ev = ec - e_gap;
-        let db = e - ev;
-        if db > 0.0 {
-            action += pref * db.sqrt() * profile.dx;
-        }
-    }
+    let action = Walk::new(profile).action(tunnel_prefactor(mass_rel), f64::INFINITY, |ec| {
+        e - (ec - e_gap)
+    });
     (-2.0 * action).exp()
 }
 
@@ -179,18 +245,31 @@ pub fn landauer_current(
     // dE conversion cancels one q.
     let g_quantum = 2.0 * Q * Q / H_PLANCK;
 
+    let walk = Walk::new(profile);
+    let (pref_e, pref_h) = (tunnel_prefactor(params.m_e), tunnel_prefactor(params.m_h));
+    let e_gap = params.e_gap;
+    // Transmission of a branch whose walk ran to completion and kept the
+    // term above the floor; `None` when the term is dropped.
+    let kept = |action: f64| {
+        if action > ACTION_CUTOFF {
+            return None;
+        }
+        let t = (-2.0 * action).exp();
+        (t > TRANSMISSION_FLOOR).then_some(t)
+    };
+
     let mut i_e = 0.0;
     let mut i_h = 0.0;
     let mut e = grid.e_min;
     while e <= grid.e_max {
         let occ = fermi(e, mu_s) - fermi(e, mu_d);
         if occ.abs() > 1e-12 {
-            let te = wkb_transmission(e, profile, params.m_e);
-            if te > 1e-15 {
+            let a_e = walk.action(pref_e, ACTION_CUTOFF, |ec| ec - e);
+            if let Some(te) = kept(a_e) {
                 i_e += te * occ;
             }
-            let th = hole_transmission(e, profile, params.m_h, params.e_gap);
-            if th > 1e-15 {
+            let a_h = walk.action(pref_h, ACTION_CUTOFF, |ec| e - (ec - e_gap));
+            if let Some(th) = kept(a_h) {
                 i_h += th * occ;
             }
         }
@@ -213,6 +292,156 @@ mod tests {
         // Sharpened contact wedges, as used by the calibrated device model.
         let coupling = CouplingProfile::from_geometry_sharpened(&g, 3.0, 4.0e-9, |_| level);
         solve(&g, &coupling, 0.41, 0.41 - v_ds)
+    }
+
+    /// Reference Landauer sum with no early exit: every energy walks every
+    /// point through the uncut public transmissions.
+    fn reference_current(
+        profile: &BandProfile,
+        v_ds: f64,
+        params: &TransportParams,
+        grid: &EnergyGrid,
+    ) -> CurrentBreakdown {
+        let g_quantum = 2.0 * Q * Q / H_PLANCK;
+        let (mut i_e, mut i_h) = (0.0, 0.0);
+        let mut e = grid.e_min;
+        while e <= grid.e_max {
+            let occ = fermi(e, 0.0) - fermi(e, -v_ds);
+            if occ.abs() > 1e-12 {
+                let te = wkb_transmission(e, profile, params.m_e);
+                if te > 1e-15 {
+                    i_e += te * occ;
+                }
+                let th = hole_transmission(e, profile, params.m_h, params.e_gap);
+                if th > 1e-15 {
+                    i_h += th * occ;
+                }
+            }
+            e += grid.de;
+        }
+        CurrentBreakdown {
+            electron: g_quantum * params.modes_e * i_e * grid.de,
+            hole: g_quantum * params.modes_h * i_h * grid.de,
+        }
+    }
+
+    fn assert_bit_identical(profile: &BandProfile, v_ds: f64, grid: &EnergyGrid, what: &str) {
+        let params = TransportParams::default();
+        let fast = landauer_current(profile, v_ds, &params, grid);
+        let slow = reference_current(profile, v_ds, &params, grid);
+        assert_eq!(
+            fast.electron.to_bits(),
+            slow.electron.to_bits(),
+            "electron {what}: {} vs {}",
+            fast.electron,
+            slow.electron
+        );
+        assert_eq!(
+            fast.hole.to_bits(),
+            slow.hole.to_bits(),
+            "hole {what}: {} vs {}",
+            fast.hole,
+            slow.hole
+        );
+    }
+
+    #[test]
+    fn early_exit_matches_the_uncut_sum_bit_for_bit() {
+        use crate::defects::DeviceDefect;
+        use crate::geometry::GateTerminal;
+        use crate::model::{Bias, TigFet};
+
+        let devices = [
+            ("healthy", TigFet::ideal()),
+            (
+                "GOS@PGS",
+                TigFet::ideal().with_defect(DeviceDefect::gos(GateTerminal::Pgs)),
+            ),
+            (
+                "GOS@CG",
+                TigFet::ideal().with_defect(DeviceDefect::gos(GateTerminal::Cg)),
+            ),
+            (
+                "GOS@PGD",
+                TigFet::ideal().with_defect(DeviceDefect::gos(GateTerminal::Pgd)),
+            ),
+            (
+                "full break",
+                TigFet::ideal().with_defect(DeviceDefect::full_break()),
+            ),
+            (
+                "partial break",
+                TigFet::ideal().with_defect(DeviceDefect::NanowireBreak {
+                    position: 0.3,
+                    severity: 0.4,
+                }),
+            ),
+        ];
+        let gates = [-1.2, 0.0, 1.2];
+        for (name, fet) in &devices {
+            for v_cg in gates {
+                for v_pgs in gates {
+                    for v_pgd in gates {
+                        for v_ds in [-0.6, 0.4, 1.2] {
+                            let bias = Bias {
+                                v_cg,
+                                v_pgs,
+                                v_pgd,
+                                v_ds,
+                            };
+                            let profile = fet.band_profile(bias);
+                            let what = format!("{name} at {bias:?}");
+                            assert_bit_identical(&profile, v_ds, &fet.params.grid, &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cutoff_boundary_keeps_the_uncut_decision() {
+        // The cutoff sits past the floor: every term it drops, the floor
+        // drops too.
+        assert!((-2.0 * ACTION_CUTOFF).exp() < TRANSMISSION_FLOOR);
+
+        // Ten identical barrier points; a single energy at 0 eV sees an
+        // electron barrier of 0.3 eV at each of them.
+        let mut profile = BandProfile {
+            dx: 1.0e-9,
+            e_c: vec![0.3; 10],
+            bypass: Vec::new(),
+            blockage_action: 0.0,
+        };
+        let params = TransportParams::default();
+        let pref = tunnel_prefactor(params.m_e);
+        let barrier = |ec: f64| ec - 0.0;
+        let action = |p: &BandProfile, cutoff: f64| Walk::new(p).action(pref, cutoff, barrier);
+        let walk = action(&profile, f64::INFINITY);
+        let first = pref * 0.3f64.sqrt() * profile.dx;
+        let grid = EnergyGrid {
+            e_min: 0.0,
+            e_max: 0.0,
+            de: 0.008,
+        };
+
+        // Just below: the walk runs to the end and returns the full action.
+        profile.blockage_action = ACTION_CUTOFF - walk - 1e-9;
+        let full = action(&profile, f64::INFINITY);
+        assert!(full <= ACTION_CUTOFF, "full = {full}");
+        assert_eq!(action(&profile, ACTION_CUTOFF).to_bits(), full.to_bits());
+        assert_bit_identical(&profile, 0.5, &grid, "just below the cutoff");
+
+        // Just above: the first point pushes the action past the cutoff and
+        // the walk stops there, short of the full action.
+        profile.blockage_action = ACTION_CUTOFF - first + 1e-9;
+        let cut = action(&profile, ACTION_CUTOFF);
+        let full = action(&profile, f64::INFINITY);
+        assert!(
+            cut > ACTION_CUTOFF && cut < full,
+            "cut = {cut}, full = {full}"
+        );
+        assert_bit_identical(&profile, 0.5, &grid, "just above the cutoff");
     }
 
     #[test]
