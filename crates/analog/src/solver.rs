@@ -119,7 +119,9 @@ enum Mode<'a> {
 /// conductance between grid cells, and a regularised (quasi-Newton)
 /// Jacobian keeps the damped iteration stable without changing the
 /// converged solution (the residual is always exact).
-#[allow(clippy::too_many_lines)]
+// The eight arguments are the Newton step's full state: circuit, guess,
+// time, source scale, mode, options and the two output buffers.
+#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn assemble(
     ckt: &AnalogCircuit,
     x: &[f64],
@@ -421,9 +423,7 @@ pub fn dc(ckt: &AnalogCircuit, opts: &SolverOpts) -> Result<DcSolution, SolveErr
 fn unpack(ckt: &AnalogCircuit, x: &[f64]) -> DcSolution {
     let n_nodes = ckt.node_count();
     let mut v = vec![0.0f64; n_nodes];
-    for n in 1..n_nodes {
-        v[n] = x[n - 1];
-    }
+    v[1..].copy_from_slice(&x[..n_nodes - 1]);
     let i_src = x[(n_nodes - 1)..].to_vec();
     DcSolution { v, i_src }
 }
@@ -451,9 +451,7 @@ pub fn transient(
 
     let ic = dc_at(ckt, 0.0, opts)?;
     let mut x = vec![0.0f64; dim];
-    for n in 1..n_nodes {
-        x[n - 1] = ic.v[n];
-    }
+    x[..n_nodes - 1].copy_from_slice(&ic.v[1..]);
     for (k, i) in ic.i_src.iter().enumerate() {
         x[(n_nodes - 1) + k] = *i;
     }

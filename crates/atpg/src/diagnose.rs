@@ -43,8 +43,8 @@
 
 use crate::fault_list::StuckAtFault;
 use crate::faultsim::{
-    capture_signatures, capture_signatures_serial, capture_signatures_threaded, faulty_sim,
-    good_sim, PatternBlock, SignatureMatrix,
+    capture_signatures, capture_signatures_serial, faulty_sim, good_sim, PatternBlock,
+    SignatureMatrix,
 };
 use sinw_switch::gate::Circuit;
 use std::collections::HashMap;
@@ -53,8 +53,11 @@ use std::collections::HashMap;
 ///
 /// Rows are keyed by indistinguishability class, not by fault: faults
 /// with identical [`SignatureMatrix`] rows share one stored signature.
-/// Built by [`FaultDictionary::build`] (and its `_serial` / `_threaded`
-/// siblings); queried by [`FaultDictionary::diagnose`].
+/// Built by [`FaultDictionary::build`] (and its `_serial` sibling), or
+/// from any [`SignatureMatrix`] by [`FaultDictionary::from_signatures`],
+/// for instance a thread-parallel
+/// [`capture_signatures_with`](crate::faultsim::capture_signatures_with);
+/// queried by [`FaultDictionary::diagnose`].
 #[derive(Debug, Clone)]
 pub struct FaultDictionary {
     /// Number of faults the dictionary models.
@@ -153,20 +156,6 @@ impl FaultDictionary {
         patterns: &[Vec<bool>],
     ) -> Self {
         Self::from_signatures(&capture_signatures_serial(circuit, faults, patterns))
-    }
-
-    /// [`FaultDictionary::build`] on the thread-parallel capture engine
-    /// (identical dictionary). `threads = 0` auto-detects.
-    #[must_use]
-    pub fn build_threaded(
-        circuit: &Circuit,
-        faults: &[StuckAtFault],
-        patterns: &[Vec<bool>],
-        threads: usize,
-    ) -> Self {
-        Self::from_signatures(&capture_signatures_threaded(
-            circuit, faults, patterns, threads,
-        ))
     }
 
     /// Merge a raw signature matrix into the class-compressed dictionary.

@@ -1,42 +1,45 @@
-//! Stuck-at fault simulation: serial, 64-way bit-parallel, and
-//! thread-parallel PPSFP, all on an event-driven, fanout-cone-restricted
-//! inner kernel.
+//! Stuck-at fault simulation: one event-driven, fanout-cone-restricted
+//! kernel, one work-stealing driver and one [`SimOptions`] value behind
+//! every engine mode.
 //!
-//! Three engines share one inner loop and report identical results:
+//! Two modes run on the kernel, each with one `_with` entry point that
+//! takes a prebuilt [`SimGraph`] and a [`SimOptions`]:
 //!
-//! * [`simulate_faults_serial`] — one pattern at a time, the ablation
-//!   baseline;
-//! * [`simulate_faults`] — packs 64 fully-specified patterns into one
-//!   machine word per signal and evaluates a whole block per fault
-//!   (parallel-pattern single-fault propagation, PPSFP);
-//! * [`simulate_faults_threaded`] — distributes fault chunks across
-//!   `std::thread::scope` workers through a work-stealing queue
-//!   (`crate::steal`, crate-internal) *on top of* the wide blocks; the good-machine
-//!   values of every block are computed once and shared read-only by all
-//!   workers. The old static one-chunk-per-worker split is retained as
-//!   [`simulate_faults_threaded_static`] for the scaling ablation.
+//! * **detect** — [`simulate_faults_with`] packs `64 * lanes`
+//!   fully-specified patterns into one [`PatternWords`] word per signal
+//!   and reports each fault's first detecting pattern, with optional
+//!   fault dropping (parallel-pattern single-fault propagation, PPSFP);
+//! * **capture** — [`capture_signatures_with`] records the full
+//!   per-fault × per-pattern × per-PO response matrix the fault
+//!   dictionary ([`crate::diagnose`]) is built from, with no dropping.
+//!
+//! The plain [`simulate_faults`] and [`capture_signatures`] build the
+//! graph themselves and run at [`SimOptions::default`]. The transition
+//! engines of [`crate::transition`] run the same two modes on pattern
+//! pairs. Two ablation baselines stay: [`simulate_faults_serial`] and
+//! [`capture_signatures_serial`] run the same driver one pattern per
+//! block, and [`simulate_faults_full_pass`] re-evaluates the whole
+//! circuit per fault × block. Every engine is checked against the scalar
+//! references of [`crate::oracle`], which share no code with it.
 //!
 //! # Lane widening
 //!
-//! Every engine is generic over a lane count `L`: a block packs
-//! `64 * L` patterns into [`PatternWords<L>`] words (`[u64; L]` with
-//! loop-based bitwise ops that autovectorise to 256/512-bit SIMD). The
-//! public entry points run at [`configured_lanes`] (the `SINW_LANES`
-//! environment variable, default 1); the `*_lanes` variants take the
-//! width explicitly. Detection reports and signature matrices are
-//! bit-identical at every supported width — the lane-differential
-//! property suite pins L ∈ {2, 4, 8} against the L = 1 kernel and the
-//! full-pass oracle.
+//! The kernel is generic over a lane count `L`: a block packs `64 * L`
+//! patterns into [`PatternWords<L>`] words (`[u64; L]` with loop-based
+//! bitwise ops that autovectorise to 256/512-bit SIMD).
+//! [`SimOptions::lanes`] picks the width at run time; its default is
+//! [`configured_lanes`] (the `SINW_LANES` environment variable, default
+//! 1). Reports and signature matrices are bit-identical at every
+//! supported width.
 //!
 //! # The event-driven kernel
 //!
 //! A stuck-at fault can only disturb its transitive fanout cone, and in
 //! ISCAS-style circuits that cone is usually a small fraction of the
 //! netlist. The faulty pass therefore does **not** re-evaluate the whole
-//! circuit per fault × block. Instead it runs over a shared
-//! [`SimGraph`] precompute (levelized topological
-//! order + CSR fanout + PO-reachability masks, built once per
-//! `simulate_faults*` call):
+//! circuit per fault × block. It runs over a shared [`SimGraph`]
+//! precompute (levelized topological order + CSR fanout +
+//! PO-reachability masks):
 //!
 //! 1. seed a level-ordered worklist at the fault site — bailing out
 //!    immediately when the stuck word equals the good word (no pattern
@@ -44,22 +47,23 @@
 //! 2. evaluate only gates reached by an event, reading un-disturbed inputs
 //!    straight from the shared good-machine words; a gate whose output
 //!    word comes out unchanged kills its event;
-//! 3. OR primary-output differences into the detection mask as events
-//!    reach them, and short-circuit the whole pass the moment the mask
-//!    saturates the block's valid-pattern bits.
+//! 3. report to a *sink*. The detect sink ORs primary-output differences
+//!    into a mask as events reach them and ends the pass the moment the
+//!    mask saturates the block's valid-pattern bits. The per-PO sink
+//!    lets the pass drain and then reads every output's settled word.
 //!
 //! Per-fault state lives in a [`FaultSimScratch`]: faulty words are
 //! validated by an epoch stamp instead of being cleared or re-cloned, so a
 //! pass is allocation-free and costs O(disturbed region), not O(circuit).
 //!
-//! The pre-existing whole-circuit pass is retained as
-//! [`simulate_faults_full_pass`] — it is the property-test oracle and the
-//! baseline of the `ppsfp_scaling` full-pass-vs-event-driven ablation.
+//! # The driver
 //!
-//! Fault partitioning (rather than pattern partitioning) keeps workers
-//! embarrassingly parallel: a stuck-at fault's detection is independent of
-//! every other fault, so the merged report is bit-identical to the serial
-//! one — a property the test suite asserts.
+//! Every mode cuts its fault list into fixed chunks on a
+//! [`WorkQueue`]; each worker owns a private scratch and writes each
+//! chunk's results into that chunk's own slice of the output. Chunk
+//! boundaries are a pure function of the input, so the output is
+//! bit-identical for every thread count. With one thread the calling
+//! thread drains the queue itself and nothing is spawned.
 
 use crate::fault_list::{FaultSite, StuckAtFault};
 use crate::graph::SimGraph;
@@ -67,6 +71,7 @@ pub use crate::lanes::PatternWords;
 use crate::steal::WorkQueue;
 use sinw_switch::cells::CellKind;
 use sinw_switch::gate::{Circuit, GateId, SignalId};
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// A block of up to `64 * L` fully-specified input patterns.
@@ -97,7 +102,7 @@ pub enum PackError {
     /// No patterns were supplied (a block holds at least one).
     Empty,
     /// More than `64 * L` patterns were supplied; chunk them into blocks
-    /// first (the `simulate_faults*` drivers do this internally).
+    /// first (the engines do this internally).
     TooManyPatterns {
         /// How many patterns were supplied.
         got: usize,
@@ -290,7 +295,7 @@ fn faulty_sim_into<const L: usize>(
 }
 
 // ----------------------------------------------------------------------
-// Per-worker scratch and the event-driven kernel
+// Per-worker scratch, the two sinks, and the event-driven kernel
 // ----------------------------------------------------------------------
 
 /// Reusable per-worker buffers for fault-simulation passes.
@@ -302,7 +307,7 @@ fn faulty_sim_into<const L: usize>(
 /// invalidates previous state by bumping an epoch stamp, so reuse is
 /// allocation-free.
 ///
-/// One scratch serves one thread; every engine creates one per worker.
+/// One scratch serves one thread; the driver creates one per worker.
 /// The lane count `L` must match the blocks it is used with (default 1).
 #[derive(Debug, Default)]
 pub struct FaultSimScratch<const L: usize = 1> {
@@ -327,23 +332,22 @@ impl<const L: usize> FaultSimScratch<L> {
         Self::default()
     }
 
+    /// A scratch sized for every buffer the event kernel touches on
+    /// `graph`.
+    pub(crate) fn for_graph(graph: &SimGraph) -> Self {
+        let mut scratch = Self::new();
+        scratch.ensure_signals(graph.signal_count());
+        scratch.queued.resize(graph.gate_count(), 0);
+        scratch.buckets.resize_with(graph.level_count(), Vec::new);
+        scratch
+    }
+
     /// Grow the per-signal buffers to cover `n` signals.
     fn ensure_signals(&mut self, n: usize) {
         if self.faulty.len() < n {
             self.good.resize(n, PatternWords::ZERO);
             self.faulty.resize(n, PatternWords::ZERO);
             self.stamp.resize(n, 0);
-        }
-    }
-
-    /// Grow every buffer the event kernel touches for `graph`.
-    pub(crate) fn ensure_graph(&mut self, graph: &SimGraph) {
-        self.ensure_signals(graph.signal_count());
-        if self.queued.len() < graph.gate_count() {
-            self.queued.resize(graph.gate_count(), 0);
-        }
-        if self.buckets.len() < graph.level_count() {
-            self.buckets.resize_with(graph.level_count(), Vec::new);
         }
     }
 
@@ -357,6 +361,17 @@ impl<const L: usize> FaultSimScratch<L> {
             self.epoch = 1;
         }
         self.epoch
+    }
+
+    /// The current pass's word for signal `s`: its faulty word if the
+    /// pass disturbed it, otherwise the good word.
+    #[inline]
+    fn word(&self, s: usize, good: &[PatternWords<L>]) -> PatternWords<L> {
+        if self.stamp[s] == self.epoch {
+            self.faulty[s]
+        } else {
+            good[s]
+        }
     }
 
     /// Enqueue a gate for the current pass (deduplicated), widening the
@@ -373,30 +388,129 @@ impl<const L: usize> FaultSimScratch<L> {
         *lo = (*lo).min(lvl);
         *hi = (*hi).max(lvl);
     }
+
+    /// Detect-sink pass: the patterns of `block_mask` on which `fault`
+    /// reaches some primary output, given the block's good-machine
+    /// words. The scratch must come from [`FaultSimScratch::for_graph`]
+    /// on `graph`.
+    #[inline]
+    pub(crate) fn detect(
+        &mut self,
+        graph: &SimGraph,
+        fault: StuckAtFault,
+        block_mask: PatternWords<L>,
+        good: &[PatternWords<L>],
+    ) -> PatternWords<L> {
+        let mut sink = Detect {
+            mask: PatternWords::ZERO,
+            full: block_mask,
+        };
+        event_pass(graph, fault, block_mask, good, self, &mut sink);
+        sink.mask
+    }
+
+    /// [`FaultSimScratch::detect`] of a kernel fault over one prepared
+    /// block, under the fault's live mask.
+    pub(crate) fn detect_block<F: KernelFault>(
+        &mut self,
+        graph: &SimGraph,
+        fault: F,
+        block: &Block<L>,
+    ) -> PatternWords<L> {
+        let live = fault.live_mask(graph, block);
+        if live.is_zero() {
+            return PatternWords::ZERO;
+        }
+        self.detect(graph, fault.stuck_at(), live, &block.good)
+    }
 }
 
-/// The event-driven faulty pass: detection mask of `fault` over one
-/// pattern block, given the block's good-machine words.
+/// Where the event pass reports: the one place the detect and capture
+/// modes differ.
+pub(crate) trait Sink<const L: usize> {
+    /// A disturbed primary output took a new faulty word; `diff` holds the
+    /// block-mask patterns on which it differs from the good machine.
+    /// Returning `true` ends the pass at once.
+    fn po_event(&mut self, diff: PatternWords<L>) -> bool;
+
+    /// The pass drained without ending early; `scratch` holds its settled
+    /// words.
+    fn settled(
+        &mut self,
+        _scratch: &FaultSimScratch<L>,
+        _good: &[PatternWords<L>],
+        _block_mask: PatternWords<L>,
+    ) {
+    }
+}
+
+/// The detect sink: ORs primary-output differences into one mask and
+/// ends the pass once every block-mask pattern detects the fault.
+struct Detect<const L: usize> {
+    mask: PatternWords<L>,
+    full: PatternWords<L>,
+}
+
+impl<const L: usize> Sink<L> for Detect<L> {
+    #[inline]
+    fn po_event(&mut self, diff: PatternWords<L>) -> bool {
+        self.mask |= diff;
+        self.mask == self.full
+    }
+}
+
+/// The per-PO sink: once the pass has drained, writes every primary
+/// output's difference word into one signature row, starting at pattern
+/// `first_pattern`.
+struct PoRow<'a> {
+    po_signals: &'a [SignalId],
+    row: &'a mut [u64],
+    first_pattern: usize,
+}
+
+impl<const L: usize> Sink<L> for PoRow<'_> {
+    #[inline]
+    fn po_event(&mut self, _diff: PatternWords<L>) -> bool {
+        false
+    }
+
+    fn settled(
+        &mut self,
+        scratch: &FaultSimScratch<L>,
+        good: &[PatternWords<L>],
+        block_mask: PatternWords<L>,
+    ) {
+        let n_outputs = self.po_signals.len();
+        for (o, po) in self.po_signals.iter().enumerate() {
+            let diff = (scratch.word(po.0, good) ^ good[po.0]) & block_mask;
+            for k in diff.set_bits() {
+                let bit = (self.first_pattern + k) * n_outputs + o;
+                self.row[bit / 64] |= 1u64 << (bit % 64);
+            }
+        }
+    }
+}
+
+/// The event-driven faulty pass of `fault` over one pattern block, given
+/// the block's good-machine words, reporting to `sink`.
 ///
 /// Work is proportional to the disturbed part of the fault's fanout cone.
-/// `scratch` must have been sized by `ensure_graph` for `graph`.
-/// Crate-visible so the `tpg` campaign loop can run every phase on the
-/// same hot kernel (and the same shared graph/scratch) as the engines.
-///
-/// [`event_po_diffs`] is this kernel's signature-capture twin — the
-/// seeding, drain and write-back logic must stay in lockstep (the
-/// `signature_capture_agrees_with_the_detect_engines` property pins the
-/// agreement; apply kernel changes to both).
-pub(crate) fn event_detect_mask<const L: usize>(
+/// `scratch` must come from [`FaultSimScratch::for_graph`] on `graph`.
+/// Every pass leaves the worklist buckets empty.
+pub(crate) fn event_pass<const L: usize, S: Sink<L>>(
     graph: &SimGraph,
     fault: StuckAtFault,
     block_mask: PatternWords<L>,
     good: &[PatternWords<L>],
     scratch: &mut FaultSimScratch<L>,
-) -> PatternWords<L> {
+    sink: &mut S,
+) {
     let stuck = PatternWords::<L>::stuck(fault.value);
     let epoch = scratch.begin_pass();
-    let mut detect = PatternWords::<L>::ZERO;
+    debug_assert!(
+        scratch.buckets.iter().all(Vec::is_empty),
+        "a pass must start on an empty worklist"
+    );
     let (mut lo, mut hi) = (usize::MAX, 0usize);
 
     // Seed the worklist at the fault site. Two cheap proofs of
@@ -406,15 +520,12 @@ pub(crate) fn event_detect_mask<const L: usize>(
     match fault.site {
         FaultSite::Signal(s) => {
             if graph.po_reach(s) == 0 || good[s.0] == stuck {
-                return PatternWords::ZERO;
+                return;
             }
             scratch.faulty[s.0] = stuck;
             scratch.stamp[s.0] = epoch;
-            if graph.po_bit(s) != 0 {
-                detect |= (good[s.0] ^ stuck) & block_mask;
-                if detect == block_mask {
-                    return detect;
-                }
+            if graph.po_bit(s) != 0 && sink.po_event((good[s.0] ^ stuck) & block_mask) {
+                return;
             }
             for &g in graph.consumers(s) {
                 scratch.enqueue(graph, g, epoch, &mut lo, &mut hi);
@@ -424,19 +535,16 @@ pub(crate) fn event_detect_mask<const L: usize>(
             let out = graph.gate_output(g);
             let in_sig = graph.gate_inputs(g)[pin] as usize;
             if graph.po_reach(out) == 0 || good[in_sig] == stuck {
-                return PatternWords::ZERO;
+                return;
             }
             scratch.enqueue(graph, g.0 as u32, epoch, &mut lo, &mut hi);
         }
     }
-    if lo == usize::MAX {
-        // Fanout-free fault site (e.g. a stem that is itself a PO).
-        return detect;
-    }
 
-    // Drain levels in ascending order. Events only ever flow to strictly
-    // higher levels, so each gate is evaluated at most once per pass and
-    // reads final faulty input words.
+    // Drain levels in ascending order (a fanout-free site leaves
+    // `lo > hi`). Events only ever flow to strictly higher levels, so each
+    // gate is evaluated at most once per pass and reads final faulty
+    // input words.
     let mut lvl = lo;
     while lvl <= hi {
         let mut bucket = std::mem::take(&mut scratch.buckets[lvl]);
@@ -445,12 +553,7 @@ pub(crate) fn event_detect_mask<const L: usize>(
             let gate_ins = graph.gate_inputs(gate);
             let mut ins = [PatternWords::<L>::ZERO; 3];
             for (pin, &s) in gate_ins.iter().enumerate() {
-                let s = s as usize;
-                ins[pin] = if scratch.stamp[s] == epoch {
-                    scratch.faulty[s]
-                } else {
-                    good[s]
-                };
+                ins[pin] = scratch.word(s as usize, good);
             }
             if let FaultSite::GatePin(fg, fpin) = fault.site {
                 if fg == gate {
@@ -460,29 +563,21 @@ pub(crate) fn event_detect_mask<const L: usize>(
             let out = eval_word(graph.kind(gate), &ins[..gate_ins.len()]);
             let osig = graph.gate_output(gate);
             let o = osig.0;
-            let cur = if scratch.stamp[o] == epoch {
-                scratch.faulty[o]
-            } else {
-                good[o]
-            };
-            if out == cur {
+            if out == scratch.word(o, good) {
                 continue; // the event dies here
             }
             scratch.faulty[o] = out;
             scratch.stamp[o] = epoch;
-            if graph.po_bit(osig) != 0 {
-                detect |= (out ^ good[o]) & block_mask;
-                if detect == block_mask {
-                    // Saturated: every valid pattern already detects the
-                    // fault, so the rest of the cone cannot change the
-                    // answer. Clear the pending buckets and stop.
-                    bucket.clear();
-                    scratch.buckets[lvl] = bucket;
-                    for b in &mut scratch.buckets[lvl + 1..=hi] {
-                        b.clear();
-                    }
-                    return detect;
+            if graph.po_bit(osig) != 0 && sink.po_event((out ^ good[o]) & block_mask) {
+                // The sink has its answer (the detect mask saturated), so
+                // the rest of the cone cannot change it. Clear the pending
+                // buckets and stop.
+                bucket.clear();
+                scratch.buckets[lvl] = bucket;
+                for b in &mut scratch.buckets[lvl + 1..=hi] {
+                    b.clear();
                 }
+                return;
             }
             if graph.po_reach(osig) != 0 {
                 for &g in graph.consumers(osig) {
@@ -495,132 +590,19 @@ pub(crate) fn event_detect_mask<const L: usize>(
         scratch.buckets[lvl] = bucket;
         lvl += 1;
     }
-    detect
-}
-
-/// The event-driven faulty pass in **signature-capture** form: instead of
-/// OR-ing PO differences into one detection mask (and short-circuiting on
-/// saturation), propagate the fault effect through the whole disturbed
-/// cone and report the per-PO difference words.
-///
-/// `po_diff[o]` receives, for primary output `o` of `po_signals`, the
-/// bitmask of patterns in the block whose faulty response differs from the
-/// good machine at that output. The cone restriction and the cheap
-/// undetectability proofs of [`event_detect_mask`] are preserved; only the
-/// early exit on mask saturation is dropped (a saturated *detection* mask
-/// does not mean every *output* difference has been seen).
-///
-/// `scratch` must have been sized by `ensure_graph` for `graph`.
-pub(crate) fn event_po_diffs<const L: usize>(
-    graph: &SimGraph,
-    fault: StuckAtFault,
-    block_mask: PatternWords<L>,
-    good: &[PatternWords<L>],
-    scratch: &mut FaultSimScratch<L>,
-    po_signals: &[SignalId],
-    po_diff: &mut [PatternWords<L>],
-) {
-    debug_assert_eq!(po_signals.len(), po_diff.len());
-    po_diff.fill(PatternWords::ZERO);
-    let stuck = PatternWords::<L>::stuck(fault.value);
-    let epoch = scratch.begin_pass();
-    let (mut lo, mut hi) = (usize::MAX, 0usize);
-
-    // Seed at the fault site, with the same two bail-outs as the
-    // detect-mask kernel: an unexcited fault or an unobservable site
-    // cannot produce any PO difference.
-    match fault.site {
-        FaultSite::Signal(s) => {
-            if graph.po_reach(s) == 0 || good[s.0] == stuck {
-                return;
-            }
-            scratch.faulty[s.0] = stuck;
-            scratch.stamp[s.0] = epoch;
-            for &g in graph.consumers(s) {
-                scratch.enqueue(graph, g, epoch, &mut lo, &mut hi);
-            }
-        }
-        FaultSite::GatePin(g, pin) => {
-            let out = graph.gate_output(g);
-            let in_sig = graph.gate_inputs(g)[pin] as usize;
-            if graph.po_reach(out) == 0 || good[in_sig] == stuck {
-                return;
-            }
-            scratch.enqueue(graph, g.0 as u32, epoch, &mut lo, &mut hi);
-        }
-    }
-
-    // Drain levels in ascending order, exactly as in the detect-mask
-    // kernel, but never stop early: the final faulty word of every
-    // disturbed signal is needed to read complete PO responses.
-    if lo != usize::MAX {
-        let mut lvl = lo;
-        while lvl <= hi {
-            let mut bucket = std::mem::take(&mut scratch.buckets[lvl]);
-            for &gi in &bucket {
-                let gate = GateId(gi as usize);
-                let gate_ins = graph.gate_inputs(gate);
-                let mut ins = [PatternWords::<L>::ZERO; 3];
-                for (pin, &s) in gate_ins.iter().enumerate() {
-                    let s = s as usize;
-                    ins[pin] = if scratch.stamp[s] == epoch {
-                        scratch.faulty[s]
-                    } else {
-                        good[s]
-                    };
-                }
-                if let FaultSite::GatePin(fg, fpin) = fault.site {
-                    if fg == gate {
-                        ins[fpin] = stuck;
-                    }
-                }
-                let out = eval_word(graph.kind(gate), &ins[..gate_ins.len()]);
-                let osig = graph.gate_output(gate);
-                let o = osig.0;
-                let cur = if scratch.stamp[o] == epoch {
-                    scratch.faulty[o]
-                } else {
-                    good[o]
-                };
-                if out == cur {
-                    continue;
-                }
-                scratch.faulty[o] = out;
-                scratch.stamp[o] = epoch;
-                if graph.po_reach(osig) != 0 {
-                    for &g in graph.consumers(osig) {
-                        debug_assert!(graph.gate_level(GateId(g as usize)) > lvl);
-                        scratch.enqueue(graph, g, epoch, &mut lo, &mut hi);
-                    }
-                }
-            }
-            bucket.clear();
-            scratch.buckets[lvl] = bucket;
-            lvl += 1;
-        }
-    }
-
-    // Read the complete per-PO responses off the settled scratch:
-    // undisturbed outputs read straight from the good machine and
-    // contribute a zero diff word.
-    for (slot, po) in po_diff.iter_mut().zip(po_signals) {
-        let SignalId(s) = *po;
-        if scratch.stamp[s] == epoch {
-            *slot = (scratch.faulty[s] ^ good[s]) & block_mask;
-        }
-    }
+    sink.settled(scratch, good, block_mask);
 }
 
 // ----------------------------------------------------------------------
-// Detection masks
+// Whole-circuit detection masks
 // ----------------------------------------------------------------------
 
 /// Bitmask of the patterns in `block` that detect `fault` at some PO.
 ///
 /// Convenience wrapper over [`detect_mask_in`] that allocates a fresh
 /// [`FaultSimScratch`]; callers probing many faults should hold a scratch
-/// and call [`detect_mask_in`] directly (or use a `simulate_faults*`
-/// engine, which amortises the graph precompute too).
+/// and call [`detect_mask_in`] directly (or use [`simulate_faults_with`],
+/// which amortises the graph precompute too).
 #[must_use]
 pub fn detect_mask<const L: usize>(
     circuit: &Circuit,
@@ -634,9 +616,9 @@ pub fn detect_mask<const L: usize>(
 /// [`detect_mask`] with caller-owned buffers: good and faulty machines are
 /// simulated into `scratch`, so repeated calls are allocation-free.
 ///
-/// This runs the whole-circuit reference pass (one fault, one block —
-/// nothing to amortise a [`SimGraph`] over); the
-/// engines use the event-driven kernel.
+/// This runs the whole-circuit pass (one fault, one block — nothing to
+/// amortise a [`SimGraph`] over); the engines use the event-driven
+/// kernel.
 #[must_use]
 pub fn detect_mask_in<const L: usize>(
     circuit: &Circuit,
@@ -650,12 +632,10 @@ pub fn detect_mask_in<const L: usize>(
     full_pass_detect_mask(circuit, fault, block, good, faulty)
 }
 
-/// The retained full-pass reference: faulty-simulate the *whole* circuit
-/// against precomputed good-machine words and OR the PO differences.
-///
-/// Kept as the oracle the event-driven kernel is property-tested against,
-/// and as the baseline of the `ppsfp_scaling` ablation (via
-/// [`simulate_faults_full_pass`]).
+/// The whole-circuit pass: faulty-simulate the *whole* circuit against
+/// precomputed good-machine words and OR the PO differences — the inner
+/// loop of [`detect_mask_in`] and of the [`simulate_faults_full_pass`]
+/// ablation baseline.
 fn full_pass_detect_mask<const L: usize>(
     circuit: &Circuit,
     fault: StuckAtFault,
@@ -670,6 +650,82 @@ fn full_pass_detect_mask<const L: usize>(
     }
     mask & block.mask()
 }
+
+// ----------------------------------------------------------------------
+// Prepared blocks and kernel faults
+// ----------------------------------------------------------------------
+
+/// One packed block with its good-machine words, computed once per run
+/// and shared read-only by every worker. A pattern-pair block also keeps
+/// the launch vectors' good words; `patterns` then holds the capture
+/// vectors.
+pub(crate) struct Block<const L: usize> {
+    pub(crate) patterns: PatternBlock<L>,
+    pub(crate) good: Vec<PatternWords<L>>,
+    pub(crate) launch_good: Vec<PatternWords<L>>,
+}
+
+impl<const L: usize> Block<L> {
+    pub(crate) fn new(
+        circuit: &Circuit,
+        patterns: PatternBlock<L>,
+        launch_good: Vec<PatternWords<L>>,
+    ) -> Self {
+        let good = good_sim(circuit, &patterns);
+        Block {
+            patterns,
+            good,
+            launch_good,
+        }
+    }
+}
+
+/// Patterns per block: the lane capacity, or one for the `_serial`
+/// ablation baselines.
+pub(crate) fn block_size<const L: usize>(one_per_block: bool) -> usize {
+    if one_per_block {
+        1
+    } else {
+        PatternBlock::<L>::CAPACITY
+    }
+}
+
+fn prepare<const L: usize>(
+    circuit: &Circuit,
+    patterns: &[Vec<bool>],
+    block_size: usize,
+) -> Vec<Block<L>> {
+    patterns
+        .chunks(block_size)
+        .map(|chunk| Block::new(circuit, PatternBlock::pack(circuit, chunk), Vec::new()))
+        .collect()
+}
+
+/// A fault the kernel can run: the stuck-at fault it injects, and the
+/// patterns of a block it is live on. A stuck-at fault is live on every
+/// valid pattern; a transition fault only on the pairs whose launch
+/// vector initialises its site, so that mask doubles as the block mask
+/// and an uninitialised pair can never count as a detection.
+pub(crate) trait KernelFault: Copy + Sync {
+    /// The stuck-at fault the kernel injects.
+    fn stuck_at(self) -> StuckAtFault;
+    /// The block-mask patterns the kernel runs this fault under.
+    fn live_mask<const L: usize>(self, graph: &SimGraph, block: &Block<L>) -> PatternWords<L>;
+}
+
+impl KernelFault for StuckAtFault {
+    fn stuck_at(self) -> StuckAtFault {
+        self
+    }
+
+    fn live_mask<const L: usize>(self, _graph: &SimGraph, block: &Block<L>) -> PatternWords<L> {
+        block.patterns.mask()
+    }
+}
+
+// ----------------------------------------------------------------------
+// Reports, lanes, options, and the driver
+// ----------------------------------------------------------------------
 
 /// Result of simulating a fault list against a pattern set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -695,81 +751,7 @@ impl FaultSimReport {
     }
 }
 
-/// Pattern blocks plus their shared good-machine values, computed once per
-/// simulation run and shared read-only across threads.
-struct PreparedPatterns<const L: usize> {
-    blocks: Vec<(PatternBlock<L>, Vec<PatternWords<L>>)>,
-}
-
-fn prepare<const L: usize>(
-    circuit: &Circuit,
-    patterns: &[Vec<bool>],
-    block_size: usize,
-) -> PreparedPatterns<L> {
-    debug_assert!(block_size >= 1 && block_size <= PatternBlock::<L>::CAPACITY);
-    let blocks = patterns
-        .chunks(block_size)
-        .map(|chunk| {
-            let block = PatternBlock::pack(circuit, chunk);
-            let good = good_sim(circuit, &block);
-            (block, good)
-        })
-        .collect();
-    PreparedPatterns { blocks }
-}
-
-/// Core loop skeleton shared by the event-driven engines and the
-/// full-pass oracle: for each fault in `faults`, the index of the first
-/// pattern that detects it (`None` = undetected). With `drop_detected`, a
-/// fault's remaining blocks are skipped after its first detection;
-/// without it, every block is still evaluated (the honest baseline for
-/// the dropping ablation), which does not change the result.
-///
-/// `mask_of` computes the per-(fault, block) detection mask — the only
-/// thing the engine variants differ in, so dropping and first-index
-/// semantics cannot silently diverge between the oracle and the kernel.
-fn first_detections_with<const L: usize>(
-    faults: &[StuckAtFault],
-    prepared: &PreparedPatterns<L>,
-    block_size: usize,
-    drop_detected: bool,
-    mut mask_of: impl FnMut(StuckAtFault, &PatternBlock<L>, &[PatternWords<L>]) -> PatternWords<L>,
-) -> Vec<Option<usize>> {
-    faults
-        .iter()
-        .map(|&fault| {
-            let mut first: Option<usize> = None;
-            for (bi, (block, good)) in prepared.blocks.iter().enumerate() {
-                if first.is_some() && drop_detected {
-                    break;
-                }
-                let mask = mask_of(fault, block, good);
-                if mask.any() && first.is_none() {
-                    first = Some(bi * block_size + mask.trailing_zeros());
-                }
-            }
-            first
-        })
-        .collect()
-}
-
-/// [`first_detections_with`] on the event-driven kernel, with a fresh
-/// per-worker scratch.
-fn first_detections_for<const L: usize>(
-    graph: &SimGraph,
-    faults: &[StuckAtFault],
-    prepared: &PreparedPatterns<L>,
-    block_size: usize,
-    drop_detected: bool,
-) -> Vec<Option<usize>> {
-    let mut scratch = FaultSimScratch::new();
-    scratch.ensure_graph(graph);
-    first_detections_with(faults, prepared, block_size, drop_detected, {
-        |fault, block, good| event_detect_mask(graph, fault, block.mask(), good, &mut scratch)
-    })
-}
-
-pub(crate) fn report_from(firsts: Vec<Option<usize>>, n_patterns: usize) -> FaultSimReport {
+fn report_from(firsts: Vec<Option<usize>>, n_patterns: usize) -> FaultSimReport {
     let mut detected = Vec::new();
     let mut undetected = Vec::new();
     let mut first_detections = vec![0usize; n_patterns];
@@ -807,7 +789,8 @@ pub fn configured_lanes() -> usize {
     }
 }
 
-/// Monomorphise a generic engine call over the supported lane widths.
+/// Monomorphise a lane-generic engine call over the supported lane
+/// widths.
 macro_rules! dispatch_lanes {
     ($lanes:expr, $func:ident($($arg:expr),* $(,)?)) => {
         match $lanes {
@@ -817,35 +800,41 @@ macro_rules! dispatch_lanes {
             8 => $func::<8>($($arg),*),
             other => panic!(
                 "unsupported lane count {other}; supported: {:?}",
-                SUPPORTED_LANES
+                $crate::faultsim::SUPPORTED_LANES
             ),
         }
     };
 }
+pub(crate) use dispatch_lanes;
 
-/// Worker count resolution shared by the threaded engines: 0 = auto.
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
+/// How an engine run is laid out: the lane width and the worker count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SimOptions {
+    /// Lane width, one of [`SUPPORTED_LANES`]: a block packs `64 * lanes`
+    /// patterns.
+    pub lanes: usize,
+    /// Worker threads. 0 uses [`std::thread::available_parallelism`];
+    /// with 1 the calling thread runs every chunk and nothing is spawned.
+    pub threads: usize,
+}
+
+impl Default for SimOptions {
+    /// [`configured_lanes`] and one thread.
+    fn default() -> Self {
+        SimOptions {
+            lanes: configured_lanes(),
+            threads: 1,
+        }
     }
 }
 
-/// Chunk granularity for the work-stealing queue: nominally eight chunks
-/// per worker so there is slack to steal, capped at 64 faults per chunk
-/// so big universes stay fine-grained, floored at one.
-pub(crate) fn steal_chunk_size(n_faults: usize, workers: usize) -> usize {
-    n_faults.div_ceil(workers * 8).clamp(1, 64)
-}
-
-/// How a thread-parallel run distributed its work: the observability
-/// counters of the work-stealing queue, returned by the `*_stats` engine
-/// variants and recorded by the scaling benches (and asserted non-zero by
-/// the work-stealing determinism test).
+/// How a run distributed its work: the counters of the work-stealing
+/// queue, returned by every `_with` entry point, recorded by the scaling
+/// benches and asserted on by the work-stealing determinism test.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StealStats {
-    /// Workers actually spawned (after clamping to the fault count).
+    /// Workers that ran (after clamping to the fault count), the calling
+    /// thread included.
     pub workers: usize,
     /// Chunks the fault list was cut into.
     pub chunks: usize,
@@ -855,11 +844,165 @@ pub struct StealStats {
     pub steals: usize,
 }
 
+/// The one work-stealing driver behind every engine mode.
+///
+/// `out` holds one row of `stride` elements per item. The items are cut
+/// into fixed chunks on a [`WorkQueue`]: nominally eight per worker so
+/// there is slack to steal, capped at 64 items per chunk, floored at
+/// one. Each worker builds its private state with `init` and runs `run`
+/// on every chunk it claims, handing it the chunk's item range and its
+/// own rows. `threads = 0` uses [`std::thread::available_parallelism`].
+/// The calling thread is worker 0, so with one worker nothing is
+/// spawned.
+fn drive<T: Send, S>(
+    out: &mut [T],
+    stride: usize,
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, Range<usize>, &mut [T]) + Sync,
+) -> StealStats {
+    if out.is_empty() {
+        return StealStats::default();
+    }
+    let n_items = out.len() / stride;
+    let threads = if threads == 0 {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    } else {
+        threads
+    };
+    let workers = threads.min(n_items);
+    let chunk = n_items.div_ceil(workers * 8).clamp(1, 64);
+    let queue = WorkQueue::new(n_items, workers, chunk);
+    // One lock per chunk's rows. Whoever claims a chunk writes the same
+    // bytes to the same slice; the locks are uncontended (a chunk has one
+    // owner) and exist to satisfy the borrow checker across workers.
+    let slots: Vec<Mutex<&mut [T]>> = out.chunks_mut(chunk * stride).map(Mutex::new).collect();
+    let work = |w: usize| {
+        let mut state = init();
+        while let Some(cid) = queue.pop(w) {
+            let mut rows = slots[cid].lock().expect("chunk slot poisoned");
+            run(&mut state, queue.item_range(cid), &mut rows);
+        }
+    };
+    std::thread::scope(|s| {
+        for w in 1..workers {
+            let work = &work;
+            s.spawn(move || work(w));
+        }
+        work(0);
+    });
+    StealStats {
+        workers,
+        chunks: queue.chunk_count(),
+        chunk_size: chunk,
+        steals: queue.steals(),
+    }
+}
+
+/// Index of the first pattern `mask_of` reports a detection on, over
+/// blocks of `block_size` patterns. With `drop_detected`, a fault's
+/// remaining blocks are skipped after its first detection; without it,
+/// every block is still evaluated (the honest baseline for the dropping
+/// ablation), which does not change the result.
+fn first_detection<const L: usize>(
+    blocks: &[Block<L>],
+    block_size: usize,
+    drop_detected: bool,
+    mut mask_of: impl FnMut(&Block<L>) -> PatternWords<L>,
+) -> Option<usize> {
+    let mut first: Option<usize> = None;
+    for (bi, block) in blocks.iter().enumerate() {
+        if first.is_some() && drop_detected {
+            break;
+        }
+        let mask = mask_of(block);
+        if mask.any() && first.is_none() {
+            first = Some(bi * block_size + mask.trailing_zeros());
+        }
+    }
+    first
+}
+
+/// Detect mode on the driver: the first detecting pattern of every fault.
+pub(crate) fn detect_run<const L: usize, F: KernelFault>(
+    graph: &SimGraph,
+    faults: &[F],
+    blocks: &[Block<L>],
+    block_size: usize,
+    n_patterns: usize,
+    drop_detected: bool,
+    threads: usize,
+) -> (FaultSimReport, StealStats) {
+    let mut firsts = vec![None; faults.len()];
+    let stats = drive(
+        &mut firsts,
+        1,
+        threads,
+        || FaultSimScratch::for_graph(graph),
+        |scratch, range, out| {
+            for (first, &fault) in out.iter_mut().zip(&faults[range]) {
+                *first = first_detection(blocks, block_size, drop_detected, |block| {
+                    scratch.detect_block(graph, fault, block)
+                });
+            }
+        },
+    );
+    (report_from(firsts, n_patterns), stats)
+}
+
+/// Capture mode on the driver: every fault's signature row, with no
+/// dropping and no early exit.
+pub(crate) fn capture_run<const L: usize, F: KernelFault>(
+    graph: &SimGraph,
+    po_signals: &[SignalId],
+    faults: &[F],
+    blocks: &[Block<L>],
+    block_size: usize,
+    n_patterns: usize,
+    threads: usize,
+) -> (SignatureMatrix, StealStats) {
+    let mut sig = SignatureMatrix::zeroed(faults.len(), n_patterns, po_signals.len());
+    let words_per_row = sig.words_per_row;
+    let stats = drive(
+        &mut sig.bits,
+        words_per_row,
+        threads,
+        || FaultSimScratch::for_graph(graph),
+        |scratch, range, rows| {
+            for (row, &fault) in rows.chunks_mut(words_per_row).zip(&faults[range]) {
+                for (bi, block) in blocks.iter().enumerate() {
+                    let live = fault.live_mask(graph, block);
+                    if live.is_zero() {
+                        continue;
+                    }
+                    let mut sink = PoRow {
+                        po_signals,
+                        row: &mut *row,
+                        first_pattern: bi * block_size,
+                    };
+                    event_pass(
+                        graph,
+                        fault.stuck_at(),
+                        live,
+                        &block.good,
+                        scratch,
+                        &mut sink,
+                    );
+                }
+            }
+        },
+    );
+    (sig, stats)
+}
+
+// ----------------------------------------------------------------------
+// Stuck-at detect engines
+// ----------------------------------------------------------------------
+
 /// Wide bit-parallel fault simulation of a whole fault list, with
 /// optional fault dropping (a dropped fault is not re-simulated in later
-/// blocks). The inner loop is the event-driven kernel over a
-/// [`SimGraph`] built once per call, at the [`configured_lanes`] width
-/// (64 patterns per block per lane).
+/// blocks): [`simulate_faults_with`] on a [`SimGraph`] built for this
+/// call, at [`SimOptions::default`].
 #[must_use]
 pub fn simulate_faults(
     circuit: &Circuit,
@@ -867,120 +1010,58 @@ pub fn simulate_faults(
     patterns: &[Vec<bool>],
     drop_detected: bool,
 ) -> FaultSimReport {
-    simulate_faults_lanes(circuit, faults, patterns, drop_detected, configured_lanes())
-}
-
-/// [`simulate_faults`] at an explicit lane width.
-///
-/// # Panics
-///
-/// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
-#[must_use]
-pub fn simulate_faults_lanes(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    drop_detected: bool,
-    lanes: usize,
-) -> FaultSimReport {
-    dispatch_lanes!(lanes, sim_event(circuit, faults, patterns, drop_detected))
-}
-
-fn sim_event<const L: usize>(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    drop_detected: bool,
-) -> FaultSimReport {
     let graph = SimGraph::build(circuit);
-    sim_event_with::<L>(circuit, &graph, faults, patterns, drop_detected)
-}
-
-fn sim_event_with<const L: usize>(
-    circuit: &Circuit,
-    graph: &SimGraph,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    drop_detected: bool,
-) -> FaultSimReport {
-    let block = PatternBlock::<L>::CAPACITY;
-    let prepared = prepare::<L>(circuit, patterns, block);
-    let firsts = first_detections_for(graph, faults, &prepared, block, drop_detected);
-    report_from(firsts, patterns.len())
-}
-
-/// [`simulate_faults`] against a caller-supplied [`SimGraph`] precompute,
-/// skipping the per-call graph build — the entry point of the
-/// `sinw-server` compiled-circuit registry, whose hot path must not
-/// rebuild anything the registry already caches. Reports bit-identically
-/// to [`simulate_faults`]. Runs at [`configured_lanes`].
-///
-/// `graph` must have been built from `circuit` (checked by debug
-/// assertion).
-#[must_use]
-pub fn simulate_faults_with_graph(
-    circuit: &Circuit,
-    graph: &SimGraph,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    drop_detected: bool,
-) -> FaultSimReport {
-    simulate_faults_with_graph_lanes(
+    simulate_faults_with(
         circuit,
-        graph,
+        &graph,
         faults,
         patterns,
         drop_detected,
-        configured_lanes(),
+        SimOptions::default(),
     )
+    .0
 }
 
-/// [`simulate_faults_with_graph`] at an explicit lane width.
+/// The detect mode: for every fault, the first pattern that detects it,
+/// on the event-driven kernel over `graph` and the work-stealing driver,
+/// laid out by `options`. Also returns the driver's [`StealStats`].
+///
+/// `graph` must have been built from `circuit` (checked by debug
+/// assertion); callers that cache it, like the `sinw-server` registry,
+/// skip the per-call build. The report is bit-identical for every lane
+/// width and thread count.
 ///
 /// # Panics
 ///
-/// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
+/// Panics if `options.lanes` is not one of [`SUPPORTED_LANES`].
 #[must_use]
-pub fn simulate_faults_with_graph_lanes(
+pub fn simulate_faults_with(
     circuit: &Circuit,
     graph: &SimGraph,
     faults: &[StuckAtFault],
     patterns: &[Vec<bool>],
     drop_detected: bool,
-    lanes: usize,
-) -> FaultSimReport {
+    options: SimOptions,
+) -> (FaultSimReport, StealStats) {
     debug_assert_eq!(graph.signal_count(), circuit.signal_count());
     debug_assert_eq!(graph.gate_count(), circuit.gates().len());
     dispatch_lanes!(
-        lanes,
-        sim_event_with(circuit, graph, faults, patterns, drop_detected)
+        options.lanes,
+        detect_patterns(
+            circuit,
+            graph,
+            faults,
+            patterns,
+            drop_detected,
+            options.threads,
+            false
+        )
     )
 }
 
-/// 64-way bit-parallel fault simulation on the retained **full-pass**
-/// inner loop: every gate in the circuit is re-evaluated for every fault ×
-/// block, with no event scheduling.
-///
-/// This is the ablation baseline of `cargo bench --bench ppsfp_scaling`
-/// and the oracle the property suites pit the event-driven engines
-/// against; it reports bit-identically to [`simulate_faults`].
-#[must_use]
-pub fn simulate_faults_full_pass(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    drop_detected: bool,
-) -> FaultSimReport {
-    let prepared = prepare::<1>(circuit, patterns, 64);
-    let mut scratch = vec![PatternWords::<1>::ZERO; circuit.signal_count()];
-    let firsts = first_detections_with(faults, &prepared, 64, drop_detected, {
-        |fault, block, good| full_pass_detect_mask(circuit, fault, block, good, &mut scratch)
-    });
-    report_from(firsts, patterns.len())
-}
-
-/// Serial (one pattern at a time) fault simulation — the ablation baseline
-/// for bit-parallelism; the inner loop is still event-driven.
+/// Serial (one pattern per block) fault simulation on one thread — the
+/// ablation baseline for bit-parallelism; the kernel and driver are those
+/// of [`simulate_faults_with`].
 #[must_use]
 pub fn simulate_faults_serial(
     circuit: &Circuit,
@@ -988,181 +1069,55 @@ pub fn simulate_faults_serial(
     patterns: &[Vec<bool>],
     drop_detected: bool,
 ) -> FaultSimReport {
-    let prepared = prepare::<1>(circuit, patterns, 1);
     let graph = SimGraph::build(circuit);
-    let firsts = first_detections_for(&graph, faults, &prepared, 1, drop_detected);
-    report_from(firsts, patterns.len())
+    detect_patterns::<1>(circuit, &graph, faults, patterns, drop_detected, 1, true).0
 }
 
-/// Thread-parallel PPSFP over a **work-stealing** chunk queue: the fault
-/// list is cut into fixed chunks ([`StealStats::chunk_size`] faults each)
-/// dealt out as contiguous per-worker spans; a worker that exhausts its
-/// span steals the upper half of a peer's. `threads = 0` uses
-/// [`std::thread::available_parallelism`]. Runs at [`configured_lanes`].
-///
-/// The [`SimGraph`] precompute and the per-block good-machine words are
-/// computed once and shared read-only; each worker owns a private
-/// [`FaultSimScratch`]. Chunk boundaries are a pure function of the
-/// input, and every chunk's result lands in its own disjoint slice of
-/// the output, so the report is bit-identical to [`simulate_faults`]
-/// (and to [`simulate_faults_serial`]) no matter how chunks migrate
-/// between workers.
-#[must_use]
-pub fn simulate_faults_threaded(
+fn detect_patterns<const L: usize>(
     circuit: &Circuit,
+    graph: &SimGraph,
     faults: &[StuckAtFault],
     patterns: &[Vec<bool>],
     drop_detected: bool,
     threads: usize,
-) -> FaultSimReport {
-    simulate_faults_threaded_lanes(
-        circuit,
+    one_per_block: bool,
+) -> (FaultSimReport, StealStats) {
+    let block_size = block_size::<L>(one_per_block);
+    let blocks = prepare::<L>(circuit, patterns, block_size);
+    detect_run(
+        graph,
         faults,
-        patterns,
+        &blocks,
+        block_size,
+        patterns.len(),
         drop_detected,
         threads,
-        configured_lanes(),
     )
 }
 
-/// [`simulate_faults_threaded`] at an explicit lane width.
+/// 64-way bit-parallel fault simulation on the **full-pass** inner loop:
+/// every gate in the circuit is re-evaluated for every fault × block,
+/// with no event scheduling, on one thread.
 ///
-/// # Panics
-///
-/// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
+/// This is the ablation baseline of `cargo bench --bench ppsfp_scaling`;
+/// it reports bit-identically to [`simulate_faults`].
 #[must_use]
-pub fn simulate_faults_threaded_lanes(
+pub fn simulate_faults_full_pass(
     circuit: &Circuit,
     faults: &[StuckAtFault],
     patterns: &[Vec<bool>],
     drop_detected: bool,
-    threads: usize,
-    lanes: usize,
 ) -> FaultSimReport {
-    simulate_faults_threaded_stats(circuit, faults, patterns, drop_detected, threads, lanes).0
-}
-
-/// [`simulate_faults_threaded_lanes`] plus the work-stealing counters of
-/// the run — what the scaling benches record and the determinism test
-/// asserts on.
-///
-/// # Panics
-///
-/// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
-#[must_use]
-pub fn simulate_faults_threaded_stats(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    drop_detected: bool,
-    threads: usize,
-    lanes: usize,
-) -> (FaultSimReport, StealStats) {
-    dispatch_lanes!(
-        lanes,
-        sim_threaded(circuit, faults, patterns, drop_detected, threads)
-    )
-}
-
-fn sim_threaded<const L: usize>(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    drop_detected: bool,
-    threads: usize,
-) -> (FaultSimReport, StealStats) {
-    if faults.is_empty() {
-        return (
-            report_from(Vec::new(), patterns.len()),
-            StealStats::default(),
-        );
-    }
-    let workers = resolve_threads(threads).min(faults.len());
-    let block = PatternBlock::<L>::CAPACITY;
-    let prepared = prepare::<L>(circuit, patterns, block);
-    let graph = SimGraph::build(circuit);
-    let chunk = steal_chunk_size(faults.len(), workers);
-    let queue = WorkQueue::new(faults.len(), workers, chunk);
-    let mut firsts: Vec<Option<usize>> = vec![None; faults.len()];
-    {
-        // One lock-protected output slot per chunk. Chunk boundaries are
-        // fixed up front, so whoever claims a chunk writes the same bytes
-        // to the same slot; locks are uncontended (a chunk has exactly
-        // one owner at a time) and exist to satisfy the borrow checker
-        // across workers.
-        let slots: Vec<Mutex<&mut [Option<usize>]>> =
-            firsts.chunks_mut(chunk).map(Mutex::new).collect();
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let queue = &queue;
-                let slots = &slots;
-                let prepared = &prepared;
-                let graph = &graph;
-                s.spawn(move || {
-                    let mut scratch = FaultSimScratch::new();
-                    scratch.ensure_graph(graph);
-                    while let Some(cid) = queue.pop(w) {
-                        let local = first_detections_with(
-                            &faults[queue.item_range(cid)],
-                            prepared,
-                            block,
-                            drop_detected,
-                            |fault, blk, good| {
-                                event_detect_mask(graph, fault, blk.mask(), good, &mut scratch)
-                            },
-                        );
-                        slots[cid]
-                            .lock()
-                            .expect("chunk slot poisoned")
-                            .copy_from_slice(&local);
-                    }
-                });
-            }
-        });
-    }
-    let stats = StealStats {
-        workers,
-        chunks: queue.chunk_count(),
-        chunk_size: chunk,
-        steals: queue.steals(),
-    };
-    (report_from(firsts, patterns.len()), stats)
-}
-
-/// The retained **static-partition** thread-parallel engine: one
-/// contiguous fault chunk per worker, no stealing, `L = 1` blocks — the
-/// pre-work-stealing baseline the `ppsfp_scaling` ablation measures the
-/// lane-wide stealing engine against. Reports bit-identically to
-/// [`simulate_faults_threaded`].
-#[must_use]
-pub fn simulate_faults_threaded_static(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    drop_detected: bool,
-    threads: usize,
-) -> FaultSimReport {
-    if faults.is_empty() {
-        return report_from(Vec::new(), patterns.len());
-    }
-    let threads = resolve_threads(threads).min(faults.len());
-    let prepared = prepare::<1>(circuit, patterns, 64);
-    let graph = SimGraph::build(circuit);
-    let chunk = faults.len().div_ceil(threads);
-    let mut firsts: Vec<Option<usize>> = Vec::with_capacity(faults.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = faults
-            .chunks(chunk)
-            .map(|slice| {
-                let prepared = &prepared;
-                let graph = &graph;
-                s.spawn(move || first_detections_for(graph, slice, prepared, 64, drop_detected))
+    let blocks = prepare::<1>(circuit, patterns, 64);
+    let mut scratch = vec![PatternWords::<1>::ZERO; circuit.signal_count()];
+    let firsts = faults
+        .iter()
+        .map(|&fault| {
+            first_detection(&blocks, 64, drop_detected, |block| {
+                full_pass_detect_mask(circuit, fault, &block.patterns, &block.good, &mut scratch)
             })
-            .collect();
-        for h in handles {
-            firsts.extend(h.join().expect("fault-sim worker panicked"));
-        }
-    });
+        })
+        .collect();
     report_from(firsts, patterns.len())
 }
 
@@ -1215,8 +1170,7 @@ pub fn compact_reverse(
     patterns: &[Vec<bool>],
 ) -> Vec<Vec<bool>> {
     let graph = SimGraph::build(circuit);
-    let mut scratch: FaultSimScratch = FaultSimScratch::new();
-    scratch.ensure_graph(&graph);
+    let mut scratch: FaultSimScratch = FaultSimScratch::for_graph(&graph);
     let mut good = vec![PatternWords::<1>::ZERO; circuit.signal_count()];
     let mut kept: Vec<Vec<bool>> = Vec::new();
     let mut remaining: Vec<StuckAtFault> = faults.to_vec();
@@ -1227,8 +1181,7 @@ pub fn compact_reverse(
         let block: PatternBlock = PatternBlock::pack(circuit, std::slice::from_ref(p));
         good_sim_into(circuit, &block, &mut good);
         let before = remaining.len();
-        remaining
-            .retain(|f| event_detect_mask(&graph, *f, block.mask(), &good, &mut scratch).is_zero());
+        remaining.retain(|f| scratch.detect(&graph, *f, block.mask(), &good).is_zero());
         if remaining.len() < before {
             kept.push(p.clone());
         }
@@ -1238,7 +1191,7 @@ pub fn compact_reverse(
 }
 
 // ----------------------------------------------------------------------
-// Signature capture (the fourth engine mode)
+// Signature capture
 // ----------------------------------------------------------------------
 
 /// The full per-fault × per-pattern × per-PO response signature of a fault
@@ -1406,301 +1359,79 @@ impl SignatureMatrix {
     }
 }
 
-/// Capture rows for a contiguous chunk of faults into `out` (row-major,
-/// `words_per_row` words per fault), reusing the caller's scratch and
-/// per-PO diff buffer — the per-chunk inner loop of every capture engine.
-#[allow(clippy::too_many_arguments)]
-fn capture_rows<const L: usize>(
-    graph: &SimGraph,
-    po_signals: &[SignalId],
-    faults: &[StuckAtFault],
-    prepared: &PreparedPatterns<L>,
-    block_size: usize,
-    n_outputs: usize,
-    words_per_row: usize,
-    scratch: &mut FaultSimScratch<L>,
-    po_diff: &mut [PatternWords<L>],
-    out: &mut [u64],
-) {
-    for (fi, &fault) in faults.iter().enumerate() {
-        let row = &mut out[fi * words_per_row..(fi + 1) * words_per_row];
-        for (bi, (block, good)) in prepared.blocks.iter().enumerate() {
-            event_po_diffs(
-                graph,
-                fault,
-                block.mask(),
-                good,
-                scratch,
-                po_signals,
-                po_diff,
-            );
-            for (o, diff) in po_diff.iter().enumerate() {
-                for k in diff.set_bits() {
-                    let bit = (bi * block_size + k) * n_outputs + o;
-                    row[bit / 64] |= 1u64 << (bit % 64);
-                }
-            }
-        }
-    }
-}
-
-/// Single-threaded capture engine at lane width `L`: allocate the matrix,
-/// prepare the blocks and the [`SimGraph`] once, fill every row on this
-/// thread.
-fn capture_single<const L: usize>(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    block_size: usize,
-) -> SignatureMatrix {
-    let graph = SimGraph::build(circuit);
-    capture_single_with::<L>(circuit, &graph, faults, patterns, block_size)
-}
-
-/// [`capture_single`] against a caller-supplied graph precompute.
-fn capture_single_with<const L: usize>(
-    circuit: &Circuit,
-    graph: &SimGraph,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    block_size: usize,
-) -> SignatureMatrix {
-    let mut sig = SignatureMatrix::zeroed(
-        faults.len(),
-        patterns.len(),
-        circuit.primary_outputs().len(),
-    );
-    if sig.bits.is_empty() {
-        return sig;
-    }
-    let prepared = prepare::<L>(circuit, patterns, block_size);
-    let words_per_row = sig.words_per_row;
-    let n_outputs = sig.n_outputs;
-    let mut scratch = FaultSimScratch::new();
-    scratch.ensure_graph(graph);
-    let mut po_diff = vec![PatternWords::<L>::ZERO; n_outputs];
-    capture_rows(
-        graph,
-        circuit.primary_outputs(),
-        faults,
-        &prepared,
-        block_size,
-        n_outputs,
-        words_per_row,
-        &mut scratch,
-        &mut po_diff,
-        &mut sig.bits,
-    );
-    sig
-}
-
-/// [`capture_signatures`] against a caller-supplied [`SimGraph`]
-/// precompute, skipping the per-call graph build — the signature-capture
-/// entry point of the `sinw-server` compiled-circuit registry. The matrix
-/// is bit-identical to [`capture_signatures`]. Runs at
-/// [`configured_lanes`].
-///
-/// `graph` must have been built from `circuit` (checked by debug
-/// assertion).
-#[must_use]
-pub fn capture_signatures_with_graph(
-    circuit: &Circuit,
-    graph: &SimGraph,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-) -> SignatureMatrix {
-    capture_signatures_with_graph_lanes(circuit, graph, faults, patterns, configured_lanes())
-}
-
-/// [`capture_signatures_with_graph`] at an explicit lane width.
-///
-/// # Panics
-///
-/// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
-#[must_use]
-pub fn capture_signatures_with_graph_lanes(
-    circuit: &Circuit,
-    graph: &SimGraph,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    lanes: usize,
-) -> SignatureMatrix {
-    debug_assert_eq!(graph.signal_count(), circuit.signal_count());
-    debug_assert_eq!(graph.gate_count(), circuit.gates().len());
-    fn go<const L: usize>(
-        circuit: &Circuit,
-        graph: &SimGraph,
-        faults: &[StuckAtFault],
-        patterns: &[Vec<bool>],
-    ) -> SignatureMatrix {
-        capture_single_with::<L>(
-            circuit,
-            graph,
-            faults,
-            patterns,
-            PatternBlock::<L>::CAPACITY,
-        )
-    }
-    dispatch_lanes!(lanes, go(circuit, graph, faults, patterns))
-}
-
-/// Thread-parallel capture engine at lane width `L`, on the same
-/// work-stealing chunk queue as [`simulate_faults_threaded`]. A chunk of
-/// faults owns a disjoint `chunk * words_per_row` slice of the bit
-/// matrix, so rows land bit-identically regardless of which worker
-/// processes which chunk.
-fn capture_stealing<const L: usize>(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    threads: usize,
-) -> (SignatureMatrix, StealStats) {
-    let mut sig = SignatureMatrix::zeroed(
-        faults.len(),
-        patterns.len(),
-        circuit.primary_outputs().len(),
-    );
-    if sig.bits.is_empty() {
-        return (sig, StealStats::default());
-    }
-    let block_size = PatternBlock::<L>::CAPACITY;
-    let prepared = prepare::<L>(circuit, patterns, block_size);
-    let graph = SimGraph::build(circuit);
-    let words_per_row = sig.words_per_row;
-    let n_outputs = sig.n_outputs;
-    let workers = resolve_threads(threads).min(faults.len());
-    let chunk = steal_chunk_size(faults.len(), workers);
-    let queue = WorkQueue::new(faults.len(), workers, chunk);
-    {
-        let slots: Vec<Mutex<&mut [u64]>> = sig
-            .bits
-            .chunks_mut(chunk * words_per_row)
-            .map(Mutex::new)
-            .collect();
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let queue = &queue;
-                let slots = &slots;
-                let prepared = &prepared;
-                let graph = &graph;
-                let po_signals = circuit.primary_outputs();
-                s.spawn(move || {
-                    let mut scratch = FaultSimScratch::new();
-                    scratch.ensure_graph(graph);
-                    let mut po_diff = vec![PatternWords::<L>::ZERO; n_outputs];
-                    while let Some(cid) = queue.pop(w) {
-                        let mut guard = slots[cid].lock().expect("row slot poisoned");
-                        capture_rows(
-                            graph,
-                            po_signals,
-                            &faults[queue.item_range(cid)],
-                            prepared,
-                            block_size,
-                            n_outputs,
-                            words_per_row,
-                            &mut scratch,
-                            &mut po_diff,
-                            &mut guard,
-                        );
-                    }
-                });
-            }
-        });
-    }
-    let stats = StealStats {
-        workers,
-        chunks: queue.chunk_count(),
-        chunk_size: chunk,
-        steals: queue.steals(),
-    };
-    (sig, stats)
-}
-
-/// Signature capture on the bit-parallel engine: the full per-fault ×
-/// per-pattern × per-PO response matrix of `faults` against `patterns`,
-/// at the lane width [`configured_lanes`] selects.
-///
-/// Unlike the detect-mask engines there is deliberately **no fault
-/// dropping** and no saturation short-circuit — diagnosis needs every
-/// probe outcome. The inner loop is still the event-driven
-/// fanout-cone-restricted kernel over a shared [`SimGraph`].
+/// Signature capture: the full per-fault × per-pattern × per-PO response
+/// matrix of `faults` against `patterns` — [`capture_signatures_with`]
+/// on a [`SimGraph`] built for this call, at [`SimOptions::default`].
 #[must_use]
 pub fn capture_signatures(
     circuit: &Circuit,
     faults: &[StuckAtFault],
     patterns: &[Vec<bool>],
 ) -> SignatureMatrix {
-    capture_signatures_lanes(circuit, faults, patterns, configured_lanes())
+    let graph = SimGraph::build(circuit);
+    capture_signatures_with(circuit, &graph, faults, patterns, SimOptions::default()).0
 }
 
-/// [`capture_signatures`] at an explicit lane width `lanes` ∈
-/// [`SUPPORTED_LANES`] (the lane-differential suite's entry point; the
-/// matrix is bit-identical at every width).
+/// The capture mode: every fault's signature row, on the event-driven
+/// kernel over `graph` and the work-stealing driver, laid out by
+/// `options`. Also returns the driver's [`StealStats`].
+///
+/// Unlike the detect mode there is deliberately **no fault dropping**
+/// and no saturation exit — diagnosis needs every probe outcome. `graph`
+/// must have been built from `circuit` (checked by debug assertion). The
+/// matrix is bit-identical for every lane width and thread count.
 ///
 /// # Panics
 ///
-/// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
+/// Panics if `options.lanes` is not one of [`SUPPORTED_LANES`].
 #[must_use]
-pub fn capture_signatures_lanes(
+pub fn capture_signatures_with(
     circuit: &Circuit,
+    graph: &SimGraph,
     faults: &[StuckAtFault],
     patterns: &[Vec<bool>],
-    lanes: usize,
-) -> SignatureMatrix {
-    fn go<const L: usize>(
-        circuit: &Circuit,
-        faults: &[StuckAtFault],
-        patterns: &[Vec<bool>],
-    ) -> SignatureMatrix {
-        capture_single::<L>(circuit, faults, patterns, PatternBlock::<L>::CAPACITY)
-    }
-    dispatch_lanes!(lanes, go(circuit, faults, patterns))
+    options: SimOptions,
+) -> (SignatureMatrix, StealStats) {
+    debug_assert_eq!(graph.signal_count(), circuit.signal_count());
+    debug_assert_eq!(graph.gate_count(), circuit.gates().len());
+    dispatch_lanes!(
+        options.lanes,
+        capture_patterns(circuit, graph, faults, patterns, options.threads, false)
+    )
 }
 
-/// [`capture_signatures`] one pattern at a time — the ablation baseline
-/// for bit-parallelism, reporting a bit-identical matrix.
+/// [`capture_signatures`] one pattern per block on one thread — the
+/// ablation baseline for bit-parallelism, reporting a bit-identical
+/// matrix.
 #[must_use]
 pub fn capture_signatures_serial(
     circuit: &Circuit,
     faults: &[StuckAtFault],
     patterns: &[Vec<bool>],
 ) -> SignatureMatrix {
-    capture_single::<1>(circuit, faults, patterns, 1)
+    let graph = SimGraph::build(circuit);
+    capture_patterns::<1>(circuit, &graph, faults, patterns, 1, true).0
 }
 
-/// Thread-parallel signature capture: fault chunks are claimed from the
-/// same work-stealing queue as [`simulate_faults_threaded`], on
-/// top of the lane blocks [`configured_lanes`] selects, with the shared
-/// read-only [`SimGraph`]/good-machine precompute and one private
-/// [`FaultSimScratch`] per worker. `threads = 0` auto-detects.
-///
-/// Rows land in fault order, so the matrix is bit-identical to
-/// [`capture_signatures`].
-#[must_use]
-pub fn capture_signatures_threaded(
+fn capture_patterns<const L: usize>(
     circuit: &Circuit,
+    graph: &SimGraph,
     faults: &[StuckAtFault],
     patterns: &[Vec<bool>],
     threads: usize,
-) -> SignatureMatrix {
-    capture_signatures_threaded_stats(circuit, faults, patterns, threads, configured_lanes()).0
-}
-
-/// [`capture_signatures_threaded`] at an explicit lane width, also
-/// reporting the work-stealing [`StealStats`].
-///
-/// # Panics
-///
-/// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
-#[must_use]
-pub fn capture_signatures_threaded_stats(
-    circuit: &Circuit,
-    faults: &[StuckAtFault],
-    patterns: &[Vec<bool>],
-    threads: usize,
-    lanes: usize,
+    one_per_block: bool,
 ) -> (SignatureMatrix, StealStats) {
-    dispatch_lanes!(lanes, capture_stealing(circuit, faults, patterns, threads))
+    let block_size = block_size::<L>(one_per_block);
+    let blocks = prepare::<L>(circuit, patterns, block_size);
+    capture_run(
+        graph,
+        circuit.primary_outputs(),
+        faults,
+        &blocks,
+        block_size,
+        patterns.len(),
+        threads,
+    )
 }
 
 #[cfg(test)]
@@ -1708,6 +1439,30 @@ mod tests {
     use super::*;
     use crate::fault_list::enumerate_stuck_at;
     use rand::prelude::*;
+
+    fn simulate_with(
+        c: &Circuit,
+        faults: &[StuckAtFault],
+        patterns: &[Vec<bool>],
+        drop_detected: bool,
+        lanes: usize,
+        threads: usize,
+    ) -> (FaultSimReport, StealStats) {
+        let graph = SimGraph::build(c);
+        let options = SimOptions { lanes, threads };
+        simulate_faults_with(c, &graph, faults, patterns, drop_detected, options)
+    }
+
+    fn capture_with(
+        c: &Circuit,
+        faults: &[StuckAtFault],
+        patterns: &[Vec<bool>],
+        lanes: usize,
+        threads: usize,
+    ) -> SignatureMatrix {
+        let graph = SimGraph::build(c);
+        capture_signatures_with(c, &graph, faults, patterns, SimOptions { lanes, threads }).0
+    }
 
     fn random_patterns(n_pi: usize, count: usize, seed: u64) -> Vec<Vec<bool>> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -1734,7 +1489,7 @@ mod tests {
         let patterns = random_patterns(c.primary_inputs().len(), 100, 42);
         let par = simulate_faults(&c, &faults, &patterns, false);
         let ser = simulate_faults_serial(&c, &faults, &patterns, false);
-        let thr = simulate_faults_threaded(&c, &faults, &patterns, false, 4);
+        let thr = simulate_with(&c, &faults, &patterns, false, 1, 4).0;
         assert_eq!(par, ser);
         assert_eq!(par, thr);
     }
@@ -1748,10 +1503,12 @@ mod tests {
         ] {
             let faults = enumerate_stuck_at(&c);
             let patterns = random_patterns(c.primary_inputs().len(), n_patterns, 17);
+            let oracle = crate::oracle::stuck_at_oracle(&c, &faults, &patterns);
             for drop_detected in [false, true] {
                 let full = simulate_faults_full_pass(&c, &faults, &patterns, drop_detected);
                 let event = simulate_faults(&c, &faults, &patterns, drop_detected);
                 assert_eq!(full, event, "drop = {drop_detected}");
+                assert_eq!(oracle, event, "drop = {drop_detected}");
             }
         }
     }
@@ -1791,11 +1548,13 @@ mod tests {
         let reference = simulate_faults(&c, &faults, &patterns, true);
         // More workers than faults, exactly one worker, and auto-detect.
         for threads in [1usize, 3, faults.len() + 10, 0] {
-            let r = simulate_faults_threaded(&c, &faults, &patterns, true, threads);
+            let (r, stats) = simulate_with(&c, &faults, &patterns, true, 1, threads);
             assert_eq!(r, reference, "threads = {threads}");
+            assert!(stats.workers >= 1 && stats.workers <= faults.len());
         }
-        // Empty fault list.
-        let empty = simulate_faults_threaded(&c, &[], &patterns, true, 4);
+        // Empty fault list: nothing to deal out.
+        let (empty, stats) = simulate_with(&c, &[], &patterns, true, 1, 4);
+        assert_eq!(stats, StealStats::default());
         assert!(empty.detected.is_empty() && empty.undetected.is_empty());
         assert_eq!(empty.coverage(), 1.0);
     }
@@ -1867,7 +1626,7 @@ mod tests {
             let patterns = random_patterns(n_pi, 70, 5);
             let sig = capture_signatures(&c, &faults, &patterns);
             assert_eq!(sig, capture_signatures_serial(&c, &faults, &patterns));
-            assert_eq!(sig, capture_signatures_threaded(&c, &faults, &patterns, 3));
+            assert_eq!(sig, capture_with(&c, &faults, &patterns, 1, 3));
             for (p, pattern) in patterns.iter().enumerate() {
                 let block: PatternBlock = PatternBlock::pack(&c, std::slice::from_ref(pattern));
                 let good = good_sim(&c, &block);
@@ -1893,12 +1652,12 @@ mod tests {
         let patterns = random_patterns(c.primary_inputs().len(), 100, 42);
         let sig = capture_signatures(&c, &faults, &patterns);
         let report = simulate_faults(&c, &faults, &patterns, false);
-        for fi in 0..faults.len() {
+        for (fi, fault) in faults.iter().enumerate() {
             assert_eq!(
                 sig.is_detected(fi),
                 report.detected.contains(&fi),
                 "{}",
-                faults[fi].describe(&c)
+                fault.describe(&c)
             );
         }
         // First-failing patterns reproduce the first-detection profile.
@@ -1925,13 +1684,13 @@ mod tests {
         assert_eq!(sig.first_failing_pattern(0), None);
         // Empty fault list.
         let patterns = random_patterns(5, 8, 1);
-        let empty = capture_signatures_threaded(&c, &[], &patterns, 4);
+        let empty = capture_with(&c, &[], &patterns, 1, 4);
         assert_eq!(empty.fault_count(), 0);
         // Edge worker counts agree with the single-threaded engine.
         let reference = capture_signatures(&c, &faults, &patterns);
         for threads in [1usize, 3, faults.len() + 10, 0] {
             assert_eq!(
-                capture_signatures_threaded(&c, &faults, &patterns, threads),
+                capture_with(&c, &faults, &patterns, 1, threads),
                 reference,
                 "threads = {threads}"
             );
@@ -1976,37 +1735,75 @@ mod tests {
         let c = Circuit::ripple_adder(3);
         let faults = enumerate_stuck_at(&c);
         let patterns = random_patterns(c.primary_inputs().len(), 200, 11);
-        let reference = simulate_faults_lanes(&c, &faults, &patterns, true, 1);
-        let ref_sig = capture_signatures_lanes(&c, &faults, &patterns, 1);
+        let reference = simulate_with(&c, &faults, &patterns, true, 1, 1).0;
+        let ref_sig = capture_with(&c, &faults, &patterns, 1, 1);
         for lanes in SUPPORTED_LANES {
-            assert_eq!(
-                simulate_faults_lanes(&c, &faults, &patterns, true, lanes),
-                reference,
-                "event engine at L = {lanes}"
-            );
-            let (thr, _) = simulate_faults_threaded_stats(&c, &faults, &patterns, true, 3, lanes);
-            assert_eq!(thr, reference, "threaded engine at L = {lanes}");
-            assert_eq!(
-                capture_signatures_lanes(&c, &faults, &patterns, lanes),
-                ref_sig,
-                "capture at L = {lanes}"
-            );
-            let (sig, _) = capture_signatures_threaded_stats(&c, &faults, &patterns, 3, lanes);
-            assert_eq!(sig, ref_sig, "threaded capture at L = {lanes}");
+            for threads in [1, 3] {
+                assert_eq!(
+                    simulate_with(&c, &faults, &patterns, true, lanes, threads).0,
+                    reference,
+                    "detect at L = {lanes}, T = {threads}"
+                );
+                assert_eq!(
+                    capture_with(&c, &faults, &patterns, lanes, threads),
+                    ref_sig,
+                    "capture at L = {lanes}, T = {threads}"
+                );
+            }
         }
     }
 
     #[test]
-    fn work_stealing_matches_static_partitioning() {
+    fn work_stealing_matches_the_calling_thread_drain() {
         let c = Circuit::parity_tree(9);
         let faults = enumerate_stuck_at(&c);
         let patterns = random_patterns(c.primary_inputs().len(), 96, 23);
         for drop_detected in [false, true] {
-            let stat = simulate_faults_threaded_static(&c, &faults, &patterns, drop_detected, 4);
-            let (steal, stats) =
-                simulate_faults_threaded_stats(&c, &faults, &patterns, drop_detected, 4, 1);
-            assert_eq!(stat, steal, "drop = {drop_detected}");
-            assert!(stats.chunks > 0 && stats.chunk_size > 0);
+            let (alone, one) = simulate_with(&c, &faults, &patterns, drop_detected, 1, 1);
+            let (steal, four) = simulate_with(&c, &faults, &patterns, drop_detected, 1, 4);
+            assert_eq!(alone, steal, "drop = {drop_detected}");
+            assert_eq!((one.workers, one.steals), (1, 0));
+            assert_eq!(four.workers, 4);
+            assert!(four.chunks > one.chunks, "more workers, finer chunks");
         }
+    }
+
+    #[test]
+    fn a_saturating_pass_leaves_the_worklist_empty() {
+        // `a` feeds an inverter chain and a PO inverter, chain first: a
+        // fault on `a` queues the chain's second gate before the PO
+        // inverter saturates a one-pattern block. The next pass must
+        // start from empty buckets.
+        let mut c = Circuit::new();
+        let a = c.add_input("a");
+        let h1 = c.add_gate(CellKind::Inv, "h1", &[a]);
+        let g1 = c.add_gate(CellKind::Inv, "g1", &[a]);
+        let h2 = c.add_gate(CellKind::Inv, "h2", &[h1]);
+        let h3 = c.add_gate(CellKind::Inv, "h3", &[h2]);
+        c.mark_output(g1);
+        c.mark_output(h3);
+        let graph = SimGraph::build(&c);
+        let mut scratch: FaultSimScratch = FaultSimScratch::for_graph(&graph);
+        let mut saturated = 0;
+        for pattern in [vec![true], vec![false]] {
+            let block: PatternBlock = PatternBlock::pack(&c, &[pattern]);
+            let good = good_sim(&c, &block);
+            for fault in enumerate_stuck_at(&c) {
+                let mask = scratch.detect(&graph, fault, block.mask(), &good);
+                assert_eq!(
+                    mask,
+                    detect_mask(&c, fault, &block),
+                    "{}",
+                    fault.describe(&c)
+                );
+                saturated += usize::from(mask.any());
+                assert!(
+                    scratch.buckets.iter().all(Vec::is_empty),
+                    "{} left queued gates behind",
+                    fault.describe(&c)
+                );
+            }
+        }
+        assert!(saturated > 0, "every fault here is detectable");
     }
 }

@@ -1,8 +1,9 @@
 //! Levelized simulation graph: the precompute layer behind the
 //! event-driven fault-simulation kernel.
 //!
-//! A [`SimGraph`] is built once per `simulate_faults*` call (O(circuit))
-//! and shared read-only by every fault, block and worker thread. It
+//! A [`SimGraph`] is built once per circuit (O(circuit)) — by the plain
+//! engine calls, or once by a caller that passes it to every `_with`
+//! call — and shared read-only by every fault, block and worker thread. It
 //! carries everything the event-driven faulty pass needs to make work
 //! proportional to the *disturbed* region of the circuit instead of the
 //! whole netlist:

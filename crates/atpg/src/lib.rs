@@ -6,13 +6,16 @@
 //!
 //! * [`podem`] — PODEM stuck-at test generation, with the constrained
 //!   justification mode the cell-aware flow of `sinw-core` builds on;
-//! * [`faultsim`] — serial, wide-word bit-parallel (64·L patterns per
-//!   pass at lane widths `L ∈ {1,2,4,8}`, see [`lanes`]), and
-//!   work-stealing thread-parallel (PPSFP) stuck-at fault simulation
-//!   with fault dropping and reverse-order compaction, all on an
-//!   event-driven, fanout-cone-restricted kernel over the [`graph`]
-//!   precompute layer (a whole-circuit reference pass is retained for
-//!   ablations and as the property-test oracle);
+//! * [`faultsim`] — stuck-at fault simulation (PPSFP) with fault
+//!   dropping, signature capture and reverse-order compaction, all on
+//!   one event-driven, fanout-cone-restricted kernel over the [`graph`]
+//!   precompute layer and one work-stealing driver; one [`SimOptions`]
+//!   value picks the lane width (64·L patterns per pass at
+//!   `L ∈ {1,2,4,8}`, see [`lanes`]) and the thread count. One pattern
+//!   per block and a whole-circuit pass stay as ablation baselines;
+//! * [`oracle`] — scalar three-valued reference simulators for every
+//!   engine mode, sharing no code with the kernel: what the property
+//!   suites check the engines against;
 //! * [`lanes`] — the [`lanes::PatternWords`] `[u64; L]` lane block the
 //!   kernel is generic over, with plain-loop bitwise ops the compiler
 //!   autovectorises;
@@ -60,6 +63,7 @@ pub mod fault_list;
 pub mod faultsim;
 pub mod graph;
 pub mod lanes;
+pub mod oracle;
 pub mod podem;
 pub mod redundancy;
 pub mod sof;
@@ -75,17 +79,16 @@ pub use diagnose::{
 };
 pub use fault_list::{enumerate_stuck_at, FaultSite, StuckAtFault};
 pub use faultsim::{
-    capture_signatures, capture_signatures_lanes, capture_signatures_serial,
-    capture_signatures_threaded, capture_signatures_threaded_stats, capture_signatures_with_graph,
-    capture_signatures_with_graph_lanes, configured_lanes, seeded_patterns, simulate_faults,
-    simulate_faults_full_pass, simulate_faults_lanes, simulate_faults_serial,
-    simulate_faults_threaded, simulate_faults_threaded_lanes, simulate_faults_threaded_static,
-    simulate_faults_threaded_stats, simulate_faults_with_graph, simulate_faults_with_graph_lanes,
-    FaultSimReport, FaultSimScratch, PackError, PatternBlock, SignatureMatrix, StealStats,
-    SUPPORTED_LANES,
+    capture_signatures, capture_signatures_serial, capture_signatures_with, configured_lanes,
+    seeded_patterns, simulate_faults, simulate_faults_full_pass, simulate_faults_serial,
+    simulate_faults_with, FaultSimReport, FaultSimScratch, PackError, PatternBlock,
+    SignatureMatrix, SimOptions, StealStats, SUPPORTED_LANES,
 };
 pub use graph::SimGraph;
 pub use lanes::PatternWords;
+pub use oracle::{
+    signature_oracle, stuck_at_oracle, transition_oracle, transition_signature_oracle,
+};
 pub use podem::{
     fill_cube, generate_test, generate_test_constrained, justify, PodemConfig, PodemResult,
 };
@@ -94,9 +97,8 @@ pub use sof::{cell_sof_tests, generate_sof_test, CircuitTwoPattern, SofResult, T
 pub use steal::WorkQueue;
 pub use tpg::{merge_cubes, AtpgConfig, AtpgEngine, AtpgReport, FaultStatus};
 pub use transition::{
-    capture_transition_signatures, capture_transition_signatures_lanes, enumerate_transition,
-    simulate_transition, simulate_transition_lanes, simulate_transition_serial,
-    simulate_transition_threaded, simulate_transition_threaded_lanes, transition_oracle,
-    TransitionAtpg, TransitionAtpgConfig, TransitionAtpgReport, TransitionFault, TransitionKind,
+    capture_transition_signatures, capture_transition_signatures_with, enumerate_transition,
+    simulate_transition, simulate_transition_serial, simulate_transition_with, TransitionAtpg,
+    TransitionAtpgConfig, TransitionAtpgReport, TransitionFault, TransitionKind,
 };
 pub use unroll::{unroll, UnrollConfig, UnrolledCircuit};

@@ -340,7 +340,7 @@ fn side_input_value(
                 .map(|s| twins[s.0].good)
                 .find(|v| v.is_known());
             match other_known {
-                Some(v) => v.not(),
+                Some(v) => !v,
                 None => Logic::Zero,
             }
         }
@@ -373,7 +373,7 @@ fn backtrace(
                 // Pick an X input and the value to request on it.
                 let x_input = gate.inputs.iter().find(|s| twins[s.0].good == Logic::X)?;
                 let next_val = match gate.kind {
-                    CellKind::Inv => val.not(),
+                    CellKind::Inv => !val,
                     CellKind::Nand2 => {
                         if val == Logic::One {
                             Logic::Zero // any 0 input forces a 1 output

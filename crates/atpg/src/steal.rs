@@ -1,7 +1,7 @@
-//! Work-stealing fault-chunk queue for the thread-parallel engines.
+//! Work-stealing fault-chunk queue for the fault-sim driver.
 //!
-//! The old `*_threaded` engines split the fault list into one contiguous
-//! chunk per worker up front. That is bit-exact but load-blind: skewed
+//! A static split deals the fault list out as one contiguous chunk per
+//! worker up front. That is bit-exact but load-blind: skewed
 //! fault universes (the csa16 all-pass class is the canonical example —
 //! its faults bail out of the event kernel immediately, while deep-cone
 //! faults cost thousands of gate evaluations) leave some workers idle
@@ -42,7 +42,7 @@ const fn unpack(v: u64) -> (u32, u32) {
 
 /// A chunked work-stealing queue over `n_items` items.
 ///
-/// The fault-sim engines expose its effect through
+/// The fault-sim driver exposes its effect through
 /// [`crate::faultsim::StealStats`]; `sinw-server` reuses it directly to
 /// deal job chunks (fault-sim rows, signature rows) across the worker
 /// threads of its bounded job engine with the same determinism argument:

@@ -34,9 +34,7 @@
 
 use crate::collapse::{collapse, CollapsedFaults};
 use crate::fault_list::{enumerate_stuck_at, StuckAtFault};
-use crate::faultsim::{
-    event_detect_mask, good_sim_into, FaultSimScratch, PatternBlock, PatternWords, SplitMix64,
-};
+use crate::faultsim::{good_sim_into, FaultSimScratch, PatternBlock, PatternWords, SplitMix64};
 use crate::graph::SimGraph;
 use crate::podem::{generate_test, PodemConfig, PodemResult};
 use crate::redundancy::RedundancyProver;
@@ -272,7 +270,7 @@ impl<'a> AtpgEngine<'a> {
         good: &[PatternWords],
         scratch: &mut FaultSimScratch,
     ) -> PatternWords {
-        event_detect_mask(&self.graph, fault, block.mask(), good, scratch)
+        scratch.detect(&self.graph, fault, block.mask(), good)
     }
 
     /// Which of `faults` the pattern set detects (one flag per fault),
@@ -308,8 +306,7 @@ impl<'a> AtpgEngine<'a> {
     pub fn run(&self, faults: &[StuckAtFault]) -> AtpgReport {
         let n_pi = self.circuit.primary_inputs().len();
         let mut statuses = vec![FaultStatus::Undetected; faults.len()];
-        let mut scratch = FaultSimScratch::new();
-        scratch.ensure_graph(&self.graph);
+        let mut scratch = FaultSimScratch::for_graph(&self.graph);
         let mut good = vec![PatternWords::ZERO; self.circuit.signal_count()];
         let mut rng = SplitMix64::new(self.config.seed);
         let mut podem_calls = 0usize;

@@ -22,48 +22,30 @@
 //! value in frame 0, is structurally a LOC pair because the unrolled
 //! netlist hardwires `capture state = NS(launch)`.
 //!
-//! Everything reports bit-identically across the serial, lane-wide and
-//! work-stealing threaded engines (same contract as the stuck-at
-//! engines), and [`transition_oracle`] is an independent scalar
-//! full-pass reference the property suites pit them against.
+//! Detection and signature capture run on the one event kernel and
+//! driver of [`crate::faultsim`], laid out by the same
+//! [`SimOptions`]: [`simulate_transition_with`] and
+//! [`capture_transition_signatures_with`] report bit-identically at
+//! every lane width and thread count, and
+//! [`transition_oracle`](crate::oracle::transition_oracle) is an
+//! independent scalar reference the property suites pit them against.
 
 use crate::fault_list::{enumerate_stuck_at, FaultSite, StuckAtFault};
 use crate::faultsim::{
-    event_detect_mask, event_po_diffs, good_sim, report_from, resolve_threads, steal_chunk_size,
-    FaultSimReport, FaultSimScratch, PatternBlock, SignatureMatrix, SplitMix64, SUPPORTED_LANES,
+    block_size, capture_run, detect_run, dispatch_lanes, good_sim, Block, FaultSimReport,
+    FaultSimScratch, KernelFault, PatternBlock, SignatureMatrix, SimOptions, SplitMix64,
+    StealStats,
 };
 use crate::graph::SimGraph;
 use crate::lanes::PatternWords;
 use crate::podem::{generate_test_constrained, PodemConfig, PodemResult};
 use crate::sof::CircuitTwoPattern;
-use crate::steal::WorkQueue;
 use crate::tpg::FaultStatus;
 use crate::unroll::{unroll, UnrollConfig, UnrolledCircuit};
-use sinw_switch::gate::{eval_cell, Circuit, GateId, SignalId};
+use sinw_switch::gate::{Circuit, SignalId};
 use sinw_switch::scan::{insert_scan, ScanCircuit, ScanPlan};
 use sinw_switch::seq::SeqCircuit;
-use sinw_switch::value::Logic;
-use std::sync::Mutex;
 use std::time::Instant;
-
-use crate::faultsim::configured_lanes;
-
-/// Monomorphise a generic pair-engine call over the supported lane
-/// widths (the transition twin of `faultsim`'s `dispatch_lanes!`).
-macro_rules! dispatch_pair_lanes {
-    ($lanes:expr, $func:ident($($arg:expr),* $(,)?)) => {
-        match $lanes {
-            1 => $func::<1>($($arg),*),
-            2 => $func::<2>($($arg),*),
-            4 => $func::<4>($($arg),*),
-            8 => $func::<8>($($arg),*),
-            other => panic!(
-                "unsupported lane count {other}; supported: {:?}",
-                SUPPORTED_LANES
-            ),
-        }
-    };
-}
 
 /// The two transition-delay polarities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -163,121 +145,60 @@ fn site_signal(circuit: &Circuit, site: FaultSite) -> SignalId {
 }
 
 // ----------------------------------------------------------------------
-// Pair blocks and the pair-detection kernel
+// Pair blocks and the pair engines
 // ----------------------------------------------------------------------
 
-/// One block of up to `64 * L` pattern pairs: the launch good-machine
-/// words (for the initialisation check) and the packed capture block
-/// with its good words (for the stuck-at pass).
-struct PairBlock<const L: usize> {
-    launch_good: Vec<PatternWords<L>>,
-    capture: PatternBlock<L>,
-    capture_good: Vec<PatternWords<L>>,
+/// A pair block: the capture vectors packed as the kernel's block, plus
+/// the launch vectors' good-machine words for the initialisation check.
+fn pair_block<const L: usize>(
+    circuit: &Circuit,
+    launch: &[Vec<bool>],
+    capture: &[Vec<bool>],
+) -> Block<L> {
+    let launch_good = good_sim(circuit, &PatternBlock::<L>::pack(circuit, launch));
+    Block::new(circuit, PatternBlock::pack(circuit, capture), launch_good)
 }
 
 /// Pack pattern pairs into blocks and precompute both good machines once
-/// per block, shared read-only by every engine and worker.
-struct PreparedPairs<const L: usize> {
-    blocks: Vec<PairBlock<L>>,
-}
-
+/// per block, shared read-only by every worker.
 fn prepare_pairs<const L: usize>(
     circuit: &Circuit,
     pairs: &[CircuitTwoPattern],
     block_size: usize,
-) -> PreparedPairs<L> {
-    debug_assert!(block_size >= 1 && block_size <= PatternBlock::<L>::CAPACITY);
-    let blocks = pairs
+) -> Vec<Block<L>> {
+    pairs
         .chunks(block_size)
         .map(|chunk| {
             let launch: Vec<Vec<bool>> = chunk.iter().map(|p| p.init.clone()).collect();
             let capture: Vec<Vec<bool>> = chunk.iter().map(|p| p.eval.clone()).collect();
-            let launch_block = PatternBlock::<L>::pack(circuit, &launch);
-            let launch_good = good_sim(circuit, &launch_block);
-            let capture_block = PatternBlock::<L>::pack(circuit, &capture);
-            let capture_good = good_sim(circuit, &capture_block);
-            PairBlock {
-                launch_good,
-                capture: capture_block,
-                capture_good,
-            }
-        })
-        .collect();
-    PreparedPairs { blocks }
-}
-
-/// Initialisation mask of a fault over a pair block: the pairs whose
-/// launch vector sets the site to the fault's initial value.
-fn init_mask<const L: usize>(
-    circuit: &Circuit,
-    fault: TransitionFault,
-    blk: &PairBlock<L>,
-) -> PatternWords<L> {
-    let stem = site_signal(circuit, fault.site);
-    let want = PatternWords::<L>::stuck(fault.init_value());
-    !(blk.launch_good[stem.0] ^ want) & blk.capture.mask()
-}
-
-/// Pair-detection mask of `fault` over one block: initialisation mask
-/// fed to the event-driven stuck-at kernel as the block mask.
-fn pair_detect_mask<const L: usize>(
-    circuit: &Circuit,
-    graph: &SimGraph,
-    fault: TransitionFault,
-    blk: &PairBlock<L>,
-    scratch: &mut FaultSimScratch<L>,
-) -> PatternWords<L> {
-    let init_ok = init_mask(circuit, fault, blk);
-    if init_ok.is_zero() {
-        return PatternWords::ZERO;
-    }
-    event_detect_mask(
-        graph,
-        fault.as_stuck_at(),
-        init_ok,
-        &blk.capture_good,
-        scratch,
-    )
-}
-
-/// The shared first-detection loop of the pair engines (the transition
-/// twin of the stuck-at engines' skeleton): for each fault, the index of
-/// the first detecting pair, with optional fault dropping.
-fn pair_first_detections<const L: usize>(
-    circuit: &Circuit,
-    graph: &SimGraph,
-    faults: &[TransitionFault],
-    prepared: &PreparedPairs<L>,
-    block_size: usize,
-    drop_detected: bool,
-    scratch: &mut FaultSimScratch<L>,
-) -> Vec<Option<usize>> {
-    faults
-        .iter()
-        .map(|&fault| {
-            let mut first: Option<usize> = None;
-            for (bi, blk) in prepared.blocks.iter().enumerate() {
-                if first.is_some() && drop_detected {
-                    break;
-                }
-                let mask = pair_detect_mask(circuit, graph, fault, blk, scratch);
-                if mask.any() && first.is_none() {
-                    first = Some(bi * block_size + mask.trailing_zeros());
-                }
-            }
-            first
+            pair_block(circuit, &launch, &capture)
         })
         .collect()
 }
 
-// ----------------------------------------------------------------------
-// Pair-simulation engines
-// ----------------------------------------------------------------------
+/// A transition fault runs as its residual stuck-at fault, live only on
+/// the pairs whose launch vector sets the site's stem to the initial
+/// value.
+impl KernelFault for TransitionFault {
+    fn stuck_at(self) -> StuckAtFault {
+        self.as_stuck_at()
+    }
 
-/// Two-pattern transition-fault simulation on the event-driven kernel at
-/// the [`configured_lanes`] width, with optional fault dropping.
-/// `pairs[k]` detects `faults[f]` when the launch vector initialises the
-/// site and the capture vector detects the residual stuck-at fault.
+    fn live_mask<const L: usize>(self, graph: &SimGraph, block: &Block<L>) -> PatternWords<L> {
+        let stem = match self.site {
+            FaultSite::Signal(s) => s.0,
+            FaultSite::GatePin(g, pin) => graph.gate_inputs(g)[pin] as usize,
+        };
+        let want = PatternWords::<L>::stuck(self.init_value());
+        !(block.launch_good[stem] ^ want) & block.patterns.mask()
+    }
+}
+
+/// Two-pattern transition-fault simulation with optional fault dropping:
+/// [`simulate_transition_with`] on a [`SimGraph`] built for this call, at
+/// [`SimOptions::default`]. `pairs[k]` detects `faults[f]` when the
+/// launch vector initialises the site and the capture vector detects the
+/// residual stuck-at fault.
 #[must_use]
 pub fn simulate_transition(
     circuit: &Circuit,
@@ -285,27 +206,53 @@ pub fn simulate_transition(
     pairs: &[CircuitTwoPattern],
     drop_detected: bool,
 ) -> FaultSimReport {
-    simulate_transition_lanes(circuit, faults, pairs, drop_detected, configured_lanes())
+    let graph = SimGraph::build(circuit);
+    simulate_transition_with(
+        circuit,
+        &graph,
+        faults,
+        pairs,
+        drop_detected,
+        SimOptions::default(),
+    )
+    .0
 }
 
-/// [`simulate_transition`] at an explicit lane width.
+/// The pair detect mode: for every fault, the first pair that detects
+/// it, on the stuck-at kernel and driver with each block's
+/// initialisation mask as the block mask. Also returns the driver's
+/// [`StealStats`]. `graph` must have been built from `circuit`. The
+/// report is bit-identical for every lane width and thread count.
 ///
 /// # Panics
 ///
-/// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
+/// Panics if `options.lanes` is not one of
+/// [`SUPPORTED_LANES`](crate::faultsim::SUPPORTED_LANES).
 #[must_use]
-pub fn simulate_transition_lanes(
+pub fn simulate_transition_with(
     circuit: &Circuit,
+    graph: &SimGraph,
     faults: &[TransitionFault],
     pairs: &[CircuitTwoPattern],
     drop_detected: bool,
-    lanes: usize,
-) -> FaultSimReport {
-    dispatch_pair_lanes!(lanes, pair_sim_event(circuit, faults, pairs, drop_detected))
+    options: SimOptions,
+) -> (FaultSimReport, StealStats) {
+    dispatch_lanes!(
+        options.lanes,
+        detect_pairs(
+            circuit,
+            graph,
+            faults,
+            pairs,
+            drop_detected,
+            options.threads,
+            false
+        )
+    )
 }
 
-/// Serial (one pair at a time) transition simulation — the ablation
-/// baseline for pair-parallelism. Reports bit-identically to
+/// Serial (one pair per block) transition simulation on one thread — the
+/// ablation baseline for pair-parallelism. Reports bit-identically to
 /// [`simulate_transition`].
 #[must_use]
 pub fn simulate_transition_serial(
@@ -314,296 +261,90 @@ pub fn simulate_transition_serial(
     pairs: &[CircuitTwoPattern],
     drop_detected: bool,
 ) -> FaultSimReport {
-    if pairs.is_empty() {
-        return report_from(vec![None; faults.len()], 0);
-    }
     let graph = SimGraph::build(circuit);
-    let prepared = prepare_pairs::<1>(circuit, pairs, 1);
-    let mut scratch = FaultSimScratch::new();
-    scratch.ensure_graph(&graph);
-    let firsts = pair_first_detections(
-        circuit,
-        &graph,
-        faults,
-        &prepared,
-        1,
-        drop_detected,
-        &mut scratch,
-    );
-    report_from(firsts, pairs.len())
+    detect_pairs::<1>(circuit, &graph, faults, pairs, drop_detected, 1, true).0
 }
 
-fn pair_sim_event<const L: usize>(
+fn detect_pairs<const L: usize>(
     circuit: &Circuit,
-    faults: &[TransitionFault],
-    pairs: &[CircuitTwoPattern],
-    drop_detected: bool,
-) -> FaultSimReport {
-    if pairs.is_empty() {
-        return report_from(vec![None; faults.len()], 0);
-    }
-    let block = PatternBlock::<L>::CAPACITY;
-    let graph = SimGraph::build(circuit);
-    let prepared = prepare_pairs::<L>(circuit, pairs, block);
-    let mut scratch = FaultSimScratch::new();
-    scratch.ensure_graph(&graph);
-    let firsts = pair_first_detections(
-        circuit,
-        &graph,
-        faults,
-        &prepared,
-        block,
-        drop_detected,
-        &mut scratch,
-    );
-    report_from(firsts, pairs.len())
-}
-
-/// Thread-parallel transition simulation over the same work-stealing
-/// chunk queue as the stuck-at engines, at [`configured_lanes`]. Chunk
-/// boundaries are a pure function of the input and every chunk writes
-/// its own disjoint output slice, so the report is bit-identical to
-/// [`simulate_transition`] and [`simulate_transition_serial`] no matter
-/// how chunks migrate between workers. `threads = 0` uses
-/// [`std::thread::available_parallelism`].
-#[must_use]
-pub fn simulate_transition_threaded(
-    circuit: &Circuit,
+    graph: &SimGraph,
     faults: &[TransitionFault],
     pairs: &[CircuitTwoPattern],
     drop_detected: bool,
     threads: usize,
-) -> FaultSimReport {
-    simulate_transition_threaded_lanes(
-        circuit,
+    one_per_block: bool,
+) -> (FaultSimReport, StealStats) {
+    let block_size = block_size::<L>(one_per_block);
+    let blocks = prepare_pairs::<L>(circuit, pairs, block_size);
+    detect_run(
+        graph,
         faults,
-        pairs,
+        &blocks,
+        block_size,
+        pairs.len(),
         drop_detected,
         threads,
-        configured_lanes(),
     )
 }
-
-/// [`simulate_transition_threaded`] at an explicit lane width.
-///
-/// # Panics
-///
-/// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
-#[must_use]
-pub fn simulate_transition_threaded_lanes(
-    circuit: &Circuit,
-    faults: &[TransitionFault],
-    pairs: &[CircuitTwoPattern],
-    drop_detected: bool,
-    threads: usize,
-    lanes: usize,
-) -> FaultSimReport {
-    dispatch_pair_lanes!(
-        lanes,
-        pair_sim_threaded(circuit, faults, pairs, drop_detected, threads)
-    )
-}
-
-fn pair_sim_threaded<const L: usize>(
-    circuit: &Circuit,
-    faults: &[TransitionFault],
-    pairs: &[CircuitTwoPattern],
-    drop_detected: bool,
-    threads: usize,
-) -> FaultSimReport {
-    if faults.is_empty() || pairs.is_empty() {
-        return report_from(vec![None; faults.len()], pairs.len());
-    }
-    let workers = resolve_threads(threads).min(faults.len());
-    let block = PatternBlock::<L>::CAPACITY;
-    let prepared = prepare_pairs::<L>(circuit, pairs, block);
-    let graph = SimGraph::build(circuit);
-    let chunk = steal_chunk_size(faults.len(), workers);
-    let queue = WorkQueue::new(faults.len(), workers, chunk);
-    let mut firsts: Vec<Option<usize>> = vec![None; faults.len()];
-    {
-        let slots: Vec<Mutex<&mut [Option<usize>]>> =
-            firsts.chunks_mut(chunk).map(Mutex::new).collect();
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let queue = &queue;
-                let slots = &slots;
-                let prepared = &prepared;
-                let graph = &graph;
-                s.spawn(move || {
-                    let mut scratch = FaultSimScratch::new();
-                    scratch.ensure_graph(graph);
-                    while let Some(cid) = queue.pop(w) {
-                        let local = pair_first_detections(
-                            circuit,
-                            graph,
-                            &faults[queue.item_range(cid)],
-                            prepared,
-                            block,
-                            drop_detected,
-                            &mut scratch,
-                        );
-                        slots[cid]
-                            .lock()
-                            .expect("chunk slot poisoned")
-                            .copy_from_slice(&local);
-                    }
-                });
-            }
-        });
-    }
-    report_from(firsts, pairs.len())
-}
-
-// ----------------------------------------------------------------------
-// The independent scalar oracle
-// ----------------------------------------------------------------------
-
-/// Scalar (three-valued, whole-circuit) evaluation under an optional
-/// stuck-at fault — deliberately shares nothing with the wide kernel so
-/// it can stand as an oracle against it.
-fn scalar_values(circuit: &Circuit, fault: Option<StuckAtFault>, inputs: &[bool]) -> Vec<Logic> {
-    let stuck = fault.map(|f| Logic::from_bool(f.value));
-    let site = fault.map(|f| f.site);
-    let mut values = vec![Logic::X; circuit.signal_count()];
-    for (k, pi) in circuit.primary_inputs().iter().enumerate() {
-        values[pi.0] = if site == Some(FaultSite::Signal(*pi)) {
-            stuck.unwrap()
-        } else {
-            Logic::from_bool(inputs[k])
-        };
-    }
-    for (gi, gate) in circuit.gates().iter().enumerate() {
-        let ins: Vec<Logic> = gate
-            .inputs
-            .iter()
-            .enumerate()
-            .map(|(pin, s)| {
-                if site == Some(FaultSite::GatePin(GateId(gi), pin)) {
-                    stuck.unwrap()
-                } else {
-                    values[s.0]
-                }
-            })
-            .collect();
-        let mut out = eval_cell(gate.kind, &ins);
-        if site == Some(FaultSite::Signal(gate.output)) {
-            out = stuck.unwrap();
-        }
-        values[gate.output.0] = out;
-    }
-    values
-}
-
-/// Independent full-pass transition oracle: per (fault, pair), evaluate
-/// the launch vector scalar-wise, check the initialisation condition at
-/// the stem, then compare the good and faulty capture responses gate by
-/// gate. First-detection semantics match the engines exactly, so the
-/// property suites can demand bit-identical [`FaultSimReport`]s.
-#[must_use]
-pub fn transition_oracle(
-    circuit: &Circuit,
-    faults: &[TransitionFault],
-    pairs: &[CircuitTwoPattern],
-) -> FaultSimReport {
-    let firsts = faults
-        .iter()
-        .map(|f| {
-            let stem = site_signal(circuit, f.site);
-            let sa = f.as_stuck_at();
-            pairs.iter().position(|p| {
-                let launch = scalar_values(circuit, None, &p.init);
-                if launch[stem.0].to_bool() != Some(f.init_value()) {
-                    return false;
-                }
-                let good = scalar_values(circuit, None, &p.eval);
-                let faulty = scalar_values(circuit, Some(sa), &p.eval);
-                circuit
-                    .primary_outputs()
-                    .iter()
-                    .any(|po| good[po.0] != faulty[po.0])
-            })
-        })
-        .collect();
-    report_from(firsts, pairs.len())
-}
-
-// ----------------------------------------------------------------------
-// Signature capture (dictionary hook)
-// ----------------------------------------------------------------------
 
 /// Full per-fault × per-pair × per-PO transition response signature —
 /// the raw material of a transition-fault dictionary
 /// ([`crate::diagnose::FaultDictionary::from_signatures`] consumes it
-/// directly). Bit `pair * outputs + output` of row `f` is set when the
-/// pair both initialises fault `f`'s site and exposes its residual
-/// stuck-at fault at that output. Runs at [`configured_lanes`].
+/// directly): [`capture_transition_signatures_with`] on a [`SimGraph`]
+/// built for this call, at [`SimOptions::default`]. Bit
+/// `pair * outputs + output` of row `f` is set when the pair both
+/// initialises fault `f`'s site and exposes its residual stuck-at fault
+/// at that output.
 #[must_use]
 pub fn capture_transition_signatures(
     circuit: &Circuit,
     faults: &[TransitionFault],
     pairs: &[CircuitTwoPattern],
 ) -> SignatureMatrix {
-    capture_transition_signatures_lanes(circuit, faults, pairs, configured_lanes())
+    let graph = SimGraph::build(circuit);
+    capture_transition_signatures_with(circuit, &graph, faults, pairs, SimOptions::default()).0
 }
 
-/// [`capture_transition_signatures`] at an explicit lane width.
+/// The pair capture mode: every fault's signature row on the kernel's
+/// per-PO sink and the driver, laid out by `options`. Also returns the
+/// driver's [`StealStats`]. `graph` must have been built from `circuit`.
 ///
 /// # Panics
 ///
-/// Panics if `lanes` is not one of [`SUPPORTED_LANES`].
+/// Panics if `options.lanes` is not one of
+/// [`SUPPORTED_LANES`](crate::faultsim::SUPPORTED_LANES).
 #[must_use]
-pub fn capture_transition_signatures_lanes(
+pub fn capture_transition_signatures_with(
     circuit: &Circuit,
+    graph: &SimGraph,
     faults: &[TransitionFault],
     pairs: &[CircuitTwoPattern],
-    lanes: usize,
-) -> SignatureMatrix {
-    dispatch_pair_lanes!(lanes, pair_capture(circuit, faults, pairs))
+    options: SimOptions,
+) -> (SignatureMatrix, StealStats) {
+    dispatch_lanes!(
+        options.lanes,
+        capture_pairs(circuit, graph, faults, pairs, options.threads)
+    )
 }
 
-fn pair_capture<const L: usize>(
+fn capture_pairs<const L: usize>(
     circuit: &Circuit,
+    graph: &SimGraph,
     faults: &[TransitionFault],
     pairs: &[CircuitTwoPattern],
-) -> SignatureMatrix {
-    let n_outputs = circuit.primary_outputs().len();
-    let words_per_row = (pairs.len() * n_outputs).div_ceil(64);
-    let mut bits = vec![0u64; faults.len() * words_per_row];
-    if !bits.is_empty() {
-        let block = PatternBlock::<L>::CAPACITY;
-        let graph = SimGraph::build(circuit);
-        let prepared = prepare_pairs::<L>(circuit, pairs, block);
-        let mut scratch = FaultSimScratch::new();
-        scratch.ensure_graph(&graph);
-        let mut po_diff = vec![PatternWords::<L>::ZERO; n_outputs];
-        for (fi, &fault) in faults.iter().enumerate() {
-            let row = &mut bits[fi * words_per_row..(fi + 1) * words_per_row];
-            for (bi, blk) in prepared.blocks.iter().enumerate() {
-                let init_ok = init_mask(circuit, fault, blk);
-                if init_ok.is_zero() {
-                    continue;
-                }
-                event_po_diffs(
-                    &graph,
-                    fault.as_stuck_at(),
-                    init_ok,
-                    &blk.capture_good,
-                    &mut scratch,
-                    circuit.primary_outputs(),
-                    &mut po_diff,
-                );
-                for (o, diff) in po_diff.iter().enumerate() {
-                    for k in diff.set_bits() {
-                        let bit = (bi * block + k) * n_outputs + o;
-                        row[bit / 64] |= 1u64 << (bit % 64);
-                    }
-                }
-            }
-        }
-    }
-    SignatureMatrix::from_raw_parts(faults.len(), pairs.len(), n_outputs, bits)
-        .expect("capture geometry is consistent by construction")
+    threads: usize,
+) -> (SignatureMatrix, StealStats) {
+    let block_size = block_size::<L>(false);
+    let blocks = prepare_pairs::<L>(circuit, pairs, block_size);
+    capture_run(
+        graph,
+        circuit.primary_outputs(),
+        faults,
+        &blocks,
+        block_size,
+        pairs.len(),
+        threads,
+    )
 }
 
 // ----------------------------------------------------------------------
@@ -805,8 +546,7 @@ impl TransitionAtpg {
         let mut statuses = vec![FaultStatus::Undetected; faults.len()];
         let mut remaining: Vec<usize> = (0..faults.len()).collect();
         let mut pairs: Vec<CircuitTwoPattern> = Vec::new();
-        let mut scratch: FaultSimScratch = FaultSimScratch::new();
-        scratch.ensure_graph(&self.graph);
+        let mut scratch: FaultSimScratch = FaultSimScratch::for_graph(&self.graph);
         let mut podem_calls = 0usize;
 
         // Random phase: blocks of 64 free launch vectors, broadside
@@ -828,17 +568,11 @@ impl TransitionAtpg {
                         .eval
                 })
                 .collect();
-            let capture_block: PatternBlock = PatternBlock::pack(circuit, &capture);
-            let capture_good = good_sim(circuit, &capture_block);
-            let blk = PairBlock {
-                launch_good,
-                capture: capture_block,
-                capture_good,
-            };
+            let blk = Block::new(circuit, PatternBlock::pack(circuit, &capture), launch_good);
             let mut credited = 0u64;
             let before = remaining.len();
             remaining.retain(|&fi| {
-                let mask = pair_detect_mask(circuit, &self.graph, faults[fi], &blk, &mut scratch);
+                let mask = scratch.detect_block(&self.graph, faults[fi], &blk);
                 if mask.any() {
                     statuses[fi] = FaultStatus::DetectedRandom;
                     credited |= 1u64 << mask.trailing_zeros();
@@ -915,24 +649,12 @@ impl TransitionAtpg {
                         let pair = self.pair_from(launch, &launch_good, 0, pi1);
                         // Collateral dropping: one deterministic pair
                         // usually kills more than its target.
-                        let capture_block: PatternBlock =
+                        let capture_block =
                             PatternBlock::pack(circuit, std::slice::from_ref(&pair.eval));
-                        let capture_good = good_sim(circuit, &capture_block);
-                        let blk = PairBlock {
-                            launch_good,
-                            capture: capture_block,
-                            capture_good,
-                        };
+                        let blk = Block::new(circuit, capture_block, launch_good);
                         for (gi, status) in statuses.iter_mut().enumerate() {
                             if *status == FaultStatus::Undetected
-                                && pair_detect_mask(
-                                    circuit,
-                                    &self.graph,
-                                    faults[gi],
-                                    &blk,
-                                    &mut scratch,
-                                )
-                                .any()
+                                && scratch.detect_block(&self.graph, faults[gi], &blk).any()
                             {
                                 *status = FaultStatus::DetectedDeterministic;
                             }
@@ -964,19 +686,13 @@ impl TransitionAtpg {
                 if live.is_empty() {
                     break;
                 }
-                let launch_block: PatternBlock =
-                    PatternBlock::pack(circuit, std::slice::from_ref(&p.init));
-                let capture_block: PatternBlock =
-                    PatternBlock::pack(circuit, std::slice::from_ref(&p.eval));
-                let blk = PairBlock {
-                    launch_good: good_sim(circuit, &launch_block),
-                    capture_good: good_sim(circuit, &capture_block),
-                    capture: capture_block,
-                };
+                let blk = pair_block::<1>(
+                    circuit,
+                    std::slice::from_ref(&p.init),
+                    std::slice::from_ref(&p.eval),
+                );
                 let before = live.len();
-                live.retain(|f| {
-                    pair_detect_mask(circuit, &self.graph, *f, &blk, &mut scratch).is_zero()
-                });
+                live.retain(|f| scratch.detect_block(&self.graph, *f, &blk).is_zero());
                 if live.len() < before {
                     kept.push(p.clone());
                 }
@@ -1005,9 +721,11 @@ impl TransitionAtpg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faultsim::seeded_patterns;
+    use crate::faultsim::{seeded_patterns, SUPPORTED_LANES};
+    use crate::oracle::{transition_oracle, transition_signature_oracle};
     use sinw_switch::cells::CellKind;
     use sinw_switch::seq::Dff;
+    use sinw_switch::value::Logic;
 
     /// A small combinational playground: 2-bit carry chain with fanout.
     fn comb() -> Circuit {
@@ -1076,25 +794,22 @@ mod tests {
         let pairs = seeded_pairs(&c, 3, 0xBEEF);
         let oracle = transition_oracle(&c, &faults, &pairs);
         assert!(!oracle.detected.is_empty() && !oracle.undetected.is_empty());
+        let graph = SimGraph::build(&c);
         for drop in [false, true] {
             for lanes in SUPPORTED_LANES {
-                assert_eq!(
-                    simulate_transition_lanes(&c, &faults, &pairs, drop, lanes),
-                    oracle,
-                    "lanes = {lanes}, drop = {drop}"
-                );
+                for threads in [1, 3] {
+                    let options = SimOptions { lanes, threads };
+                    assert_eq!(
+                        simulate_transition_with(&c, &graph, &faults, &pairs, drop, options).0,
+                        oracle,
+                        "lanes = {lanes}, threads = {threads}, drop = {drop}"
+                    );
+                }
             }
             assert_eq!(
                 simulate_transition_serial(&c, &faults, &pairs, drop),
                 oracle
             );
-            for threads in [1, 3] {
-                assert_eq!(
-                    simulate_transition_threaded(&c, &faults, &pairs, drop, threads),
-                    oracle,
-                    "threads = {threads}"
-                );
-            }
         }
     }
 
@@ -1104,7 +819,15 @@ mod tests {
         let faults = enumerate_transition(&c);
         let r = simulate_transition(&c, &faults, &[], true);
         assert_eq!(r.undetected.len(), faults.len());
-        assert_eq!(simulate_transition_threaded(&c, &faults, &[], true, 2), r);
+        let options = SimOptions {
+            lanes: 1,
+            threads: 2,
+        };
+        let graph = SimGraph::build(&c);
+        assert_eq!(
+            simulate_transition_with(&c, &graph, &faults, &[], true, options).0,
+            r
+        );
     }
 
     #[test]
@@ -1113,8 +836,12 @@ mod tests {
         let faults = enumerate_transition(&c);
         let pairs = seeded_pairs(&c, 70, 0xCAFE);
         let report = simulate_transition(&c, &faults, &pairs, false);
+        let graph = SimGraph::build(&c);
+        let oracle = transition_signature_oracle(&c, &faults, &pairs);
         for lanes in SUPPORTED_LANES {
-            let sig = capture_transition_signatures_lanes(&c, &faults, &pairs, lanes);
+            let options = SimOptions { lanes, threads: 2 };
+            let (sig, _) = capture_transition_signatures_with(&c, &graph, &faults, &pairs, options);
+            assert_eq!(sig, oracle, "lanes = {lanes}");
             for fi in 0..faults.len() {
                 assert_eq!(
                     sig.is_detected(fi),

@@ -14,16 +14,32 @@
 
 use sinw_atpg::collapse::collapse;
 use sinw_atpg::fault_list::enumerate_stuck_at;
+use sinw_atpg::fault_list::StuckAtFault;
 use sinw_atpg::faultsim::{
-    seeded_patterns, simulate_faults_lanes, simulate_faults_threaded_static,
-    simulate_faults_threaded_stats,
+    seeded_patterns, simulate_faults_with, FaultSimReport, SimOptions, StealStats,
 };
+use sinw_atpg::graph::SimGraph;
+use sinw_switch::gate::Circuit;
 use sinw_switch::generate::c6288_class;
 
 /// The shared seeded pattern set every golden number below is pinned
 /// under: 96 patterns, seed `0xDEAD_BEEF` (the repo-wide golden seed).
 const GOLDEN_SEED: u64 = 0xDEAD_BEEF;
 const GOLDEN_PATTERNS: usize = 96;
+
+/// The detect mode with dropping at an explicit lane width and thread
+/// count (0 = every available core).
+fn detect(
+    c: &Circuit,
+    faults: &[StuckAtFault],
+    patterns: &[Vec<bool>],
+    lanes: usize,
+    threads: usize,
+) -> (FaultSimReport, StealStats) {
+    let graph = SimGraph::build(c);
+    let options = SimOptions { lanes, threads };
+    simulate_faults_with(c, &graph, faults, patterns, true, options)
+}
 
 /// Tier-1 golden run, in two parts sharing one enumerate + collapse
 /// (the dominant cost in debug builds): first the fixture shape (cells,
@@ -52,8 +68,8 @@ fn c6288_class_shape_and_sampled_coverage_are_pinned() {
         .step_by(64)
         .collect();
     let patterns = seeded_patterns(c.primary_inputs().len(), GOLDEN_PATTERNS, GOLDEN_SEED);
-    let l1 = simulate_faults_lanes(&c, &sample, &patterns, true, 1);
-    let l4 = simulate_faults_lanes(&c, &sample, &patterns, true, 4);
+    let (l1, _) = detect(&c, &sample, &patterns, 1, 1);
+    let (l4, _) = detect(&c, &sample, &patterns, 4, 1);
     assert_eq!(l1, l4, "lane widths 1 and 4 must agree");
     assert_eq!(sample.len(), 1262, "sample size");
     assert_eq!(
@@ -64,8 +80,8 @@ fn c6288_class_shape_and_sampled_coverage_are_pinned() {
 }
 
 /// Full-universe golden run: all collapsed representatives under the
-/// seeded 96-pattern set, work-stealing vs static partitioning required
-/// to agree. Ignored by default — run with
+/// seeded 96-pattern set, work stealing on every core at L = 4 required
+/// to agree with one thread at L = 1. Ignored by default — run with
 /// `cargo test -p sinw-atpg --test c6288_class --release -- --ignored`.
 #[test]
 #[ignore = "full 80k-fault universe; minutes in debug builds"]
@@ -74,14 +90,9 @@ fn c6288_class_full_coverage_is_pinned() {
     let faults = enumerate_stuck_at(&c);
     let collapsed = collapse(&c, &faults);
     let patterns = seeded_patterns(c.primary_inputs().len(), GOLDEN_PATTERNS, GOLDEN_SEED);
-    let (steal, stats) =
-        simulate_faults_threaded_stats(&c, &collapsed.representatives, &patterns, true, 0, 4);
-    let static_part =
-        simulate_faults_threaded_static(&c, &collapsed.representatives, &patterns, true, 0);
-    assert_eq!(
-        steal, static_part,
-        "work-stealing and static partitioning must agree"
-    );
+    let (steal, stats) = detect(&c, &collapsed.representatives, &patterns, 4, 0);
+    let (alone, _) = detect(&c, &collapsed.representatives, &patterns, 1, 1);
+    assert_eq!(steal, alone, "T=0/L=4 work stealing and T=1/L=1 must agree");
     assert!(stats.chunks > 0);
     assert_eq!(steal.detected.len(), 80758, "detected faults");
     let coverage = steal.coverage();

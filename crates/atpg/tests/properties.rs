@@ -1,19 +1,28 @@
 //! Property-based tests of the ATPG substrate: PODEM soundness and
-//! completeness on random circuits, and engine agreement.
+//! completeness on random circuits, and every fault-sim engine mode
+//! against the scalar references of `sinw_atpg::oracle`.
 
 use proptest::prelude::*;
 use sinw_atpg::collapse::collapse;
 use sinw_atpg::diagnose::{full_pass_observations, FaultDictionary};
 use sinw_atpg::fault_list::enumerate_stuck_at;
+use sinw_atpg::fault_list::StuckAtFault;
 use sinw_atpg::faultsim::{
-    capture_signatures, capture_signatures_lanes, capture_signatures_serial,
-    capture_signatures_threaded, capture_signatures_threaded_stats, compact_reverse, detect_mask,
-    detect_mask_in, seeded_patterns, simulate_faults, simulate_faults_full_pass,
-    simulate_faults_lanes, simulate_faults_serial, simulate_faults_threaded,
-    simulate_faults_threaded_stats, FaultSimScratch, PatternBlock, SUPPORTED_LANES,
+    capture_signatures, capture_signatures_serial, capture_signatures_with, compact_reverse,
+    detect_mask, detect_mask_in, seeded_patterns, simulate_faults, simulate_faults_full_pass,
+    simulate_faults_serial, simulate_faults_with, FaultSimReport, FaultSimScratch, PatternBlock,
+    SignatureMatrix, SimOptions, SUPPORTED_LANES,
+};
+use sinw_atpg::graph::SimGraph;
+use sinw_atpg::oracle::{
+    signature_oracle, stuck_at_oracle, transition_oracle, transition_signature_oracle,
 };
 use sinw_atpg::podem::{fill_cube, generate_test, PodemConfig, PodemResult};
 use sinw_atpg::tpg::{AtpgConfig, AtpgEngine, FaultStatus};
+use sinw_atpg::transition::{
+    capture_transition_signatures_with, enumerate_transition, simulate_transition_with,
+};
+use sinw_atpg::CircuitTwoPattern;
 use sinw_switch::cells::CellKind;
 use sinw_switch::gate::{Circuit, SignalId};
 use sinw_switch::generate::{array_multiplier, carry_select_adder};
@@ -49,6 +58,39 @@ fn random_circuit(n_pi: usize, n_gates: usize, seed: &[u8]) -> Circuit {
         c.mark_output(*s);
     }
     c
+}
+
+/// Every `step`-th fault of `universe`: subsetting desynchronises fault
+/// indices from circuit structure, so worklist-seeding bookkeeping bugs
+/// surface.
+fn every_nth<T: Copy>(universe: &[T], step: usize) -> Vec<T> {
+    universe.iter().copied().step_by(step).collect()
+}
+
+/// The detect mode at an explicit lane width and thread count.
+fn detect_at(
+    c: &Circuit,
+    faults: &[StuckAtFault],
+    patterns: &[Vec<bool>],
+    drop_detected: bool,
+    lanes: usize,
+    threads: usize,
+) -> FaultSimReport {
+    let graph = SimGraph::build(c);
+    let options = SimOptions { lanes, threads };
+    simulate_faults_with(c, &graph, faults, patterns, drop_detected, options).0
+}
+
+/// The capture mode at an explicit lane width and thread count.
+fn capture_at(
+    c: &Circuit,
+    faults: &[StuckAtFault],
+    patterns: &[Vec<bool>],
+    lanes: usize,
+    threads: usize,
+) -> SignatureMatrix {
+    let graph = SimGraph::build(c);
+    capture_signatures_with(c, &graph, faults, patterns, SimOptions { lanes, threads }).0
 }
 
 proptest! {
@@ -163,7 +205,8 @@ proptest! {
         }
     }
 
-    /// The serial and 64-way bit-parallel fault simulators agree exactly.
+    /// The serial and 64-way bit-parallel fault simulators both equal the
+    /// scalar oracle.
     #[test]
     fn serial_and_parallel_fault_sim_agree(
         seed in proptest::collection::vec(any::<u8>(), 24),
@@ -175,16 +218,17 @@ proptest! {
     ) {
         let c = random_circuit(5, n_gates, &seed);
         let faults = enumerate_stuck_at(&c);
+        let oracle = stuck_at_oracle(&c, &faults, &patterns);
         let par = simulate_faults(&c, &faults, &patterns, false);
         let ser = simulate_faults_serial(&c, &faults, &patterns, false);
-        prop_assert_eq!(par.detected, ser.detected);
-        prop_assert_eq!(par.undetected, ser.undetected);
+        prop_assert_eq!(&oracle, &par);
+        prop_assert_eq!(&oracle, &ser);
     }
 
-    /// All three engines — serial, 64-way bit-parallel, thread-parallel —
-    /// report the same detected-fault set (and the same first-detection
-    /// profile) on random DAGs, with and without fault dropping, at odd
-    /// worker counts.
+    /// All three layouts — serial, 64-way bit-parallel, thread-parallel —
+    /// report the oracle's detected-fault set and first-detection profile
+    /// on random DAGs, with and without fault dropping, at odd worker
+    /// counts.
     #[test]
     fn all_three_engines_agree_on_random_circuits(
         seed in proptest::collection::vec(any::<u8>(), 24),
@@ -197,11 +241,13 @@ proptest! {
         let faults = enumerate_stuck_at(&c);
         let pattern_seed = seed.iter().fold(0u64, |acc, b| (acc << 8) | u64::from(*b));
         let patterns = seeded_patterns(5, n_patterns, pattern_seed);
+        let oracle = stuck_at_oracle(&c, &faults, &patterns);
         let ser = simulate_faults_serial(&c, &faults, &patterns, drop_detected);
         let par = simulate_faults(&c, &faults, &patterns, drop_detected);
-        let thr = simulate_faults_threaded(&c, &faults, &patterns, drop_detected, threads);
-        prop_assert_eq!(&ser, &par);
-        prop_assert_eq!(&ser, &thr);
+        let thr = detect_at(&c, &faults, &patterns, drop_detected, 1, threads);
+        prop_assert_eq!(&oracle, &ser);
+        prop_assert_eq!(&oracle, &par);
+        prop_assert_eq!(&oracle, &thr);
     }
 
     /// Engine agreement on the *generated* benchmark structures (adders
@@ -221,19 +267,19 @@ proptest! {
         };
         let faults = enumerate_stuck_at(&c);
         let patterns = seeded_patterns(c.primary_inputs().len(), 70, seed);
+        let oracle = stuck_at_oracle(&c, &faults, &patterns);
         let ser = simulate_faults_serial(&c, &faults, &patterns, true);
         let par = simulate_faults(&c, &faults, &patterns, true);
-        let thr = simulate_faults_threaded(&c, &faults, &patterns, true, threads);
-        prop_assert_eq!(&ser, &par);
-        prop_assert_eq!(&ser, &thr);
+        let thr = detect_at(&c, &faults, &patterns, true, 1, threads);
+        prop_assert_eq!(&oracle, &ser);
+        prop_assert_eq!(&oracle, &par);
+        prop_assert_eq!(&oracle, &thr);
     }
 
-    /// The event-driven kernel against the retained full-pass oracle:
-    /// random generated circuits × random fault-list subsets × random
-    /// pattern blocks must produce bit-identical `FaultSimReport`s, with
-    /// and without fault dropping. Subsetting the fault list matters
-    /// because it desynchronises fault indices from circuit structure —
-    /// a bookkeeping bug in the worklist seeding would surface here.
+    /// The event-driven kernel and the full-pass ablation baseline against
+    /// the scalar oracle: random circuits × random fault-list subsets ×
+    /// random pattern blocks must produce bit-identical `FaultSimReport`s,
+    /// with and without fault dropping.
     #[test]
     fn event_driven_matches_full_pass_on_random_universes(
         seed in proptest::collection::vec(any::<u8>(), 24),
@@ -245,27 +291,23 @@ proptest! {
     ) {
         let c = random_circuit(5, n_gates, &seed);
         let universe = enumerate_stuck_at(&c);
-        let faults: Vec<_> = universe
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % keep_one_in == 0)
-            .map(|(_, f)| *f)
-            .collect();
+        let faults = every_nth(&universe, keep_one_in);
         let pattern_seed = seed.iter().fold(1u64, |acc, b| acc.wrapping_mul(31) ^ u64::from(*b));
         let patterns = seeded_patterns(5, n_patterns, pattern_seed);
-        let oracle = simulate_faults_full_pass(&c, &faults, &patterns, drop_detected);
+        let oracle = stuck_at_oracle(&c, &faults, &patterns);
+        let full = simulate_faults_full_pass(&c, &faults, &patterns, drop_detected);
         let event = simulate_faults(&c, &faults, &patterns, drop_detected);
         let event_serial = simulate_faults_serial(&c, &faults, &patterns, drop_detected);
-        let event_threaded =
-            simulate_faults_threaded(&c, &faults, &patterns, drop_detected, threads);
+        let event_threaded = detect_at(&c, &faults, &patterns, drop_detected, 1, threads);
+        prop_assert_eq!(&oracle, &full);
         prop_assert_eq!(&oracle, &event);
         prop_assert_eq!(&oracle, &event_serial);
         prop_assert_eq!(&oracle, &event_threaded);
     }
 
-    /// Same oracle check on the *generated* benchmark structures, whose
-    /// deep reconvergent fanout exercises worklist dedup and level
-    /// ordering much harder than the shallow random DAGs.
+    /// Same checks on the *generated* benchmark structures, whose deep
+    /// reconvergent fanout exercises worklist dedup and level ordering
+    /// much harder than the shallow random DAGs.
     #[test]
     fn event_driven_matches_full_pass_on_generated_benchmarks(
         which in 0usize..3,
@@ -279,8 +321,10 @@ proptest! {
         };
         let faults = enumerate_stuck_at(&c);
         let patterns = seeded_patterns(c.primary_inputs().len(), 70, seed);
-        let oracle = simulate_faults_full_pass(&c, &faults, &patterns, true);
+        let oracle = stuck_at_oracle(&c, &faults, &patterns);
+        let full = simulate_faults_full_pass(&c, &faults, &patterns, true);
         let event = simulate_faults(&c, &faults, &patterns, true);
+        prop_assert_eq!(&oracle, &full);
         prop_assert_eq!(&oracle, &event);
     }
 
@@ -309,12 +353,11 @@ proptest! {
         }
     }
 
-    /// Engine agreement for the signature-capture mode: the serial,
-    /// 64-way and threaded captures are bit-identical on random circuits
-    /// × fault subsets × pattern blocks, and a fault's signature is
-    /// nonzero **iff** the detect-mask engines
-    /// (`simulate_faults{,_serial,_threaded}`) report it detected — with
-    /// the first failing pattern reproducing the first-detection profile.
+    /// The signature-capture mode: the serial, 64-way and threaded
+    /// captures equal the scalar signature oracle on random circuits ×
+    /// fault subsets × pattern blocks, and a fault's signature is nonzero
+    /// **iff** the detect mode reports it detected — with the first
+    /// failing pattern reproducing the first-detection profile.
     #[test]
     fn signature_capture_agrees_with_the_detect_engines(
         seed in proptest::collection::vec(any::<u8>(), 24),
@@ -325,26 +368,19 @@ proptest! {
     ) {
         let c = random_circuit(5, n_gates, &seed);
         let universe = enumerate_stuck_at(&c);
-        let faults: Vec<_> = universe
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % keep_one_in == 0)
-            .map(|(_, f)| *f)
-            .collect();
+        let faults = every_nth(&universe, keep_one_in);
         let pattern_seed = seed.iter().fold(3u64, |acc, b| acc.wrapping_mul(37) ^ u64::from(*b));
         let patterns = seeded_patterns(5, n_patterns, pattern_seed);
 
-        let sig = capture_signatures(&c, &faults, &patterns);
+        let sig = signature_oracle(&c, &faults, &patterns);
+        prop_assert_eq!(&sig, &capture_signatures(&c, &faults, &patterns));
         prop_assert_eq!(&sig, &capture_signatures_serial(&c, &faults, &patterns));
-        prop_assert_eq!(
-            &sig,
-            &capture_signatures_threaded(&c, &faults, &patterns, threads)
-        );
+        prop_assert_eq!(&sig, &capture_at(&c, &faults, &patterns, 1, threads));
 
         let detected: Vec<usize> = (0..faults.len()).filter(|fi| sig.is_detected(*fi)).collect();
         let par = simulate_faults(&c, &faults, &patterns, false);
         let ser = simulate_faults_serial(&c, &faults, &patterns, false);
-        let thr = simulate_faults_threaded(&c, &faults, &patterns, false, threads);
+        let thr = detect_at(&c, &faults, &patterns, false, 1, threads);
         prop_assert_eq!(&detected, &par.detected);
         prop_assert_eq!(&detected, &ser.detected);
         prop_assert_eq!(&detected, &thr.detected);
@@ -387,7 +423,7 @@ proptest! {
             patterns = compact_reverse(&c, &collapsed.representatives, &patterns);
         }
         let dict = if threaded {
-            FaultDictionary::build_threaded(&c, &universe, &patterns, 3)
+            FaultDictionary::from_signatures(&capture_at(&c, &universe, &patterns, 1, 3))
         } else {
             FaultDictionary::build_serial(&c, &universe, &patterns)
         };
@@ -442,11 +478,10 @@ proptest! {
     }
 
     /// The lane-differential property: every supported lane width must
-    /// produce `FaultSimReport`s bit-identical to the L = 1 kernel and
-    /// to the whole-circuit full-pass oracle, on both the event engine
-    /// and the work-stealing threaded engine, across random circuits ×
-    /// fault subsets × drop on/off × worker counts. Wider lanes change
-    /// the block capacity (64·L patterns per good-machine pass), so any
+    /// produce `FaultSimReport`s bit-identical to the scalar oracle, on
+    /// one thread and with work stealing, across random circuits × fault
+    /// subsets × drop on/off × worker counts. Wider lanes change the
+    /// block capacity (64·L patterns per good-machine pass), so any
     /// masking or first-detection-index bug that depends on block
     /// boundaries surfaces here.
     #[test]
@@ -460,32 +495,24 @@ proptest! {
     ) {
         let c = random_circuit(5, n_gates, &seed);
         let universe = enumerate_stuck_at(&c);
-        let faults: Vec<_> = universe
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % keep_one_in == 0)
-            .map(|(_, f)| *f)
-            .collect();
+        let faults = every_nth(&universe, keep_one_in);
         let pattern_seed = seed.iter().fold(5u64, |acc, b| acc.rotate_left(9) ^ u64::from(*b));
         let patterns = seeded_patterns(5, n_patterns, pattern_seed);
-        let oracle = simulate_faults_full_pass(&c, &faults, &patterns, drop_detected);
-        let narrow = simulate_faults_lanes(&c, &faults, &patterns, drop_detected, 1);
-        prop_assert_eq!(&oracle, &narrow);
+        let oracle = stuck_at_oracle(&c, &faults, &patterns);
         for lanes in SUPPORTED_LANES {
-            let wide = simulate_faults_lanes(&c, &faults, &patterns, drop_detected, lanes);
-            prop_assert_eq!(&narrow, &wide, "event engine at L = {}", lanes);
-            let (thr, _) = simulate_faults_threaded_stats(
-                &c, &faults, &patterns, drop_detected, threads, lanes,
-            );
-            prop_assert_eq!(&narrow, &thr, "threaded engine at L = {}", lanes);
+            let wide = detect_at(&c, &faults, &patterns, drop_detected, lanes, 1);
+            prop_assert_eq!(&oracle, &wide, "one thread at L = {}", lanes);
+            let thr = detect_at(&c, &faults, &patterns, drop_detected, lanes, threads);
+            prop_assert_eq!(&oracle, &thr, "{} threads at L = {}", threads, lanes);
         }
     }
 
     /// The lane-differential property for signature capture: the full
-    /// per-fault × per-pattern × per-PO `SignatureMatrix` must come out
-    /// bit-identical at every lane width, single-threaded and
+    /// per-fault × per-pattern × per-PO `SignatureMatrix` must equal the
+    /// scalar signature oracle at every lane width, single-threaded and
     /// work-stealing, and agree row by row with the whole-circuit
-    /// `full_pass_observations` oracle.
+    /// `full_pass_observations` the diagnosis suites play the tester
+    /// with.
     #[test]
     fn signature_capture_is_lane_and_schedule_invariant(
         seed in proptest::collection::vec(any::<u8>(), 24),
@@ -496,21 +523,14 @@ proptest! {
     ) {
         let c = random_circuit(5, n_gates, &seed);
         let universe = enumerate_stuck_at(&c);
-        let faults: Vec<_> = universe
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % keep_one_in == 0)
-            .map(|(_, f)| *f)
-            .collect();
+        let faults = every_nth(&universe, keep_one_in);
         let pattern_seed = seed.iter().fold(13u64, |acc, b| acc.rotate_left(7) ^ u64::from(*b));
         let patterns = seeded_patterns(5, n_patterns, pattern_seed);
-        let narrow = capture_signatures_lanes(&c, &faults, &patterns, 1);
+        let narrow = signature_oracle(&c, &faults, &patterns);
         for lanes in SUPPORTED_LANES {
-            let wide = capture_signatures_lanes(&c, &faults, &patterns, lanes);
+            let wide = capture_at(&c, &faults, &patterns, lanes, 1);
             prop_assert_eq!(&narrow, &wide, "capture at L = {}", lanes);
-            let (thr, _) = capture_signatures_threaded_stats(
-                &c, &faults, &patterns, threads, lanes,
-            );
+            let thr = capture_at(&c, &faults, &patterns, lanes, threads);
             prop_assert_eq!(&narrow, &thr, "threaded capture at L = {}", lanes);
         }
         // Row-by-row against the whole-circuit observation oracle.
@@ -529,6 +549,70 @@ proptest! {
                 "{} row diverges from the oracle",
                 fault.describe(&c)
             );
+        }
+    }
+    /// The oracle differential suite: all four engine modes — stuck-at
+    /// detect (with and without dropping), stuck-at capture, transition
+    /// detect (with and without dropping) and transition capture — at
+    /// lanes {1, 2, 4, 8} × threads {1, 2, 3}, each against its scalar
+    /// oracle. Pattern counts straddle the 64·L block boundaries, and the
+    /// fault subsets desynchronise fault indices from circuit structure.
+    #[test]
+    fn oracle_differential_all_modes_every_lane_and_thread_count(
+        seed in proptest::collection::vec(any::<u8>(), 24),
+        n_gates in 2usize..20,
+        n_patterns in 1usize..140,
+        keep_one_in in 1usize..3,
+    ) {
+        let c = random_circuit(5, n_gates, &seed);
+        let graph = SimGraph::build(&c);
+        let faults = every_nth(&enumerate_stuck_at(&c), keep_one_in);
+        let transition_faults = every_nth(&enumerate_transition(&c), keep_one_in);
+        let pattern_seed = seed.iter().fold(17u64, |acc, b| acc.rotate_left(5) ^ u64::from(*b));
+        let patterns = seeded_patterns(5, n_patterns, pattern_seed);
+        let pairs: Vec<CircuitTwoPattern> = patterns
+            .iter()
+            .zip(patterns.iter().rev())
+            .map(|(init, eval)| CircuitTwoPattern {
+                init: init.clone(),
+                eval: eval.clone(),
+            })
+            .collect();
+
+        let detect = stuck_at_oracle(&c, &faults, &patterns);
+        let capture = signature_oracle(&c, &faults, &patterns);
+        let pair_detect = transition_oracle(&c, &transition_faults, &pairs);
+        let pair_capture = transition_signature_oracle(&c, &transition_faults, &pairs);
+        for lanes in SUPPORTED_LANES {
+            for threads in [1usize, 2, 3] {
+                let options = SimOptions { lanes, threads };
+                for drop_detected in [false, true] {
+                    let (report, _) = simulate_faults_with(
+                        &c, &graph, &faults, &patterns, drop_detected, options,
+                    );
+                    prop_assert_eq!(
+                        &detect, &report,
+                        "stuck-at detect, L = {}, T = {}, drop = {}", lanes, threads, drop_detected
+                    );
+                    let (report, _) = simulate_transition_with(
+                        &c, &graph, &transition_faults, &pairs, drop_detected, options,
+                    );
+                    prop_assert_eq!(
+                        &pair_detect, &report,
+                        "transition detect, L = {}, T = {}, drop = {}", lanes, threads, drop_detected
+                    );
+                }
+                let (sig, _) = capture_signatures_with(&c, &graph, &faults, &patterns, options);
+                prop_assert_eq!(
+                    &capture, &sig, "stuck-at capture, L = {}, T = {}", lanes, threads
+                );
+                let (sig, _) = capture_transition_signatures_with(
+                    &c, &graph, &transition_faults, &pairs, options,
+                );
+                prop_assert_eq!(
+                    &pair_capture, &sig, "transition capture, L = {}, T = {}", lanes, threads
+                );
+            }
         }
     }
 }

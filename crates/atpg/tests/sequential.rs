@@ -5,10 +5,11 @@
 //! supported lane width and thread count, demanding bit identity.
 
 use proptest::prelude::*;
-use sinw_atpg::faultsim::{good_sim, PatternBlock, SUPPORTED_LANES};
+use sinw_atpg::faultsim::{good_sim, PatternBlock, SimOptions, SUPPORTED_LANES};
+use sinw_atpg::graph::SimGraph;
+use sinw_atpg::oracle::transition_oracle;
 use sinw_atpg::transition::{
-    enumerate_transition, simulate_transition_lanes, simulate_transition_serial,
-    simulate_transition_threaded, transition_oracle,
+    enumerate_transition, simulate_transition_serial, simulate_transition_with,
 };
 use sinw_atpg::unroll::{unroll, UnrollConfig};
 use sinw_atpg::CircuitTwoPattern;
@@ -193,8 +194,8 @@ proptest! {
         }
     }
 
-    /// Every transition pair engine — all lane widths, serial, threaded
-    /// at several worker counts — reports bit-identically to the
+    /// Every transition pair layout — serial, and every lane width at
+    /// several worker counts — reports bit-identically to the
     /// independent scalar full-pass oracle over an exhaustive
     /// two-pattern set on the full-scan view.
     #[test]
@@ -228,20 +229,15 @@ proptest! {
         let faults = enumerate_transition(circuit);
         let oracle = transition_oracle(circuit, &faults, &pairs);
 
+        let graph = SimGraph::build(circuit);
         for lanes in SUPPORTED_LANES {
-            prop_assert_eq!(
-                &simulate_transition_lanes(circuit, &faults, &pairs, drop, lanes),
-                &oracle,
-                "lanes {}", lanes
-            );
+            for threads in [1usize, 2, 5] {
+                let options = SimOptions { lanes, threads };
+                let (report, _) =
+                    simulate_transition_with(circuit, &graph, &faults, &pairs, drop, options);
+                prop_assert_eq!(&report, &oracle, "lanes {}, threads {}", lanes, threads);
+            }
         }
         prop_assert_eq!(&simulate_transition_serial(circuit, &faults, &pairs, drop), &oracle);
-        for threads in [1usize, 2, 5] {
-            prop_assert_eq!(
-                &simulate_transition_threaded(circuit, &faults, &pairs, drop, threads),
-                &oracle,
-                "threads {}", threads
-            );
-        }
     }
 }

@@ -14,19 +14,36 @@
 //! [`StealStats::steals`]: sinw_atpg::StealStats
 
 use sinw_atpg::fault_list::enumerate_stuck_at;
-use sinw_atpg::faultsim::{seeded_patterns, simulate_faults_threaded_stats};
+use sinw_atpg::fault_list::StuckAtFault;
+use sinw_atpg::faultsim::{
+    seeded_patterns, simulate_faults_with, FaultSimReport, SimOptions, StealStats,
+};
+use sinw_atpg::graph::SimGraph;
 use sinw_switch::gate::Circuit;
 use sinw_switch::generate::carry_select_adder;
+
+/// The detect mode with dropping at L = 1 on `threads` workers.
+fn detect(
+    c: &Circuit,
+    graph: &SimGraph,
+    faults: &[StuckAtFault],
+    patterns: &[Vec<bool>],
+    threads: usize,
+) -> (FaultSimReport, StealStats) {
+    let options = SimOptions { lanes: 1, threads };
+    simulate_faults_with(c, graph, faults, patterns, true, options)
+}
 
 #[test]
 fn skewed_universe_is_deterministic_and_actually_steals() {
     let c: Circuit = carry_select_adder(16, 4);
     let faults = enumerate_stuck_at(&c);
     let patterns = seeded_patterns(c.primary_inputs().len(), 96, 0xDEAD_BEEF);
+    let graph = SimGraph::build(&c);
 
     // One calibration pass finds the all-pass class: the faults the
     // seeded set never detects.
-    let (calibration, _) = simulate_faults_threaded_stats(&c, &faults, &patterns, true, 1, 1);
+    let (calibration, _) = detect(&c, &graph, &faults, &patterns, 1);
     let all_pass: Vec<_> = calibration
         .undetected
         .iter()
@@ -46,12 +63,11 @@ fn skewed_universe_is_deterministic_and_actually_steals() {
     }
     skewed.extend_from_slice(&faults);
 
-    let (reference, _) = simulate_faults_threaded_stats(&c, &skewed, &patterns, true, 1, 1);
+    let (reference, _) = detect(&c, &graph, &skewed, &patterns, 1);
     let mut total_steals = 0usize;
     for run in 0..16 {
         for workers in [1usize, 2, 4] {
-            let (report, stats) =
-                simulate_faults_threaded_stats(&c, &skewed, &patterns, true, workers, 1);
+            let (report, stats) = detect(&c, &graph, &skewed, &patterns, workers);
             assert_eq!(
                 report, reference,
                 "run {run} with {workers} workers must match the single-worker report"

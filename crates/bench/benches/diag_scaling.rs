@@ -34,7 +34,9 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sinw_atpg::collapse::collapse;
 use sinw_atpg::diagnose::{full_pass_observations, FaultDictionary};
-use sinw_atpg::fault_list::enumerate_stuck_at;
+use sinw_atpg::fault_list::{enumerate_stuck_at, StuckAtFault};
+use sinw_atpg::faultsim::{capture_signatures_with, SimOptions};
+use sinw_atpg::graph::SimGraph;
 use sinw_atpg::tpg::{AtpgConfig, AtpgEngine};
 use sinw_bench::{env_usize, env_usize_list, write_bench_json};
 use sinw_switch::gate::Circuit;
@@ -64,6 +66,23 @@ fn timed<T>(mut build: impl FnMut() -> T) -> (T, f64) {
     (result.expect("three runs"), best)
 }
 
+/// The thread-parallel dictionary build: graph, work-stealing capture on
+/// `threads` workers (0 = every core), class merge.
+fn build_threaded(
+    circuit: &Circuit,
+    faults: &[StuckAtFault],
+    patterns: &[Vec<bool>],
+    threads: usize,
+) -> FaultDictionary {
+    let graph = SimGraph::build(circuit);
+    let options = SimOptions {
+        threads,
+        ..SimOptions::default()
+    };
+    let (signatures, _) = capture_signatures_with(circuit, &graph, faults, patterns, options);
+    FaultDictionary::from_signatures(&signatures)
+}
+
 /// Time and check one circuit, returning the summary row plus the fault
 /// universe and campaign pattern set (reused by the criterion loops so
 /// the expensive campaign is not re-run).
@@ -71,7 +90,7 @@ fn run_circuit(
     name: &str,
     circuit: &Circuit,
     threads: usize,
-) -> (CircuitRun, Vec<sinw_atpg::StuckAtFault>, Vec<Vec<bool>>) {
+) -> (CircuitRun, Vec<StuckAtFault>, Vec<Vec<bool>>) {
     let faults = enumerate_stuck_at(circuit);
     let collapsed = collapse(circuit, &faults);
     let engine = AtpgEngine::new(circuit, AtpgConfig::default());
@@ -79,8 +98,7 @@ fn run_circuit(
 
     let (serial, serial_ms) = timed(|| FaultDictionary::build_serial(circuit, &faults, &patterns));
     let (parallel, parallel_ms) = timed(|| FaultDictionary::build(circuit, &faults, &patterns));
-    let (threaded, threaded_ms) =
-        timed(|| FaultDictionary::build_threaded(circuit, &faults, &patterns, threads));
+    let (threaded, threaded_ms) = timed(|| build_threaded(circuit, &faults, &patterns, threads));
 
     assert_eq!(
         serial.class_of(),
@@ -237,11 +255,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(FaultDictionary::build_serial(&mul, &faults, &patterns)));
     });
     c.bench_function("diag/build_threaded", |b| {
-        b.iter(|| {
-            black_box(FaultDictionary::build_threaded(
-                &mul, &faults, &patterns, threads,
-            ))
-        });
+        b.iter(|| black_box(build_threaded(&mul, &faults, &patterns, threads)));
     });
 }
 

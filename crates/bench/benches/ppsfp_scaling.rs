@@ -4,13 +4,13 @@
 //! Per width the ladder covers the serial baseline (small widths only),
 //! the **full-pass vs event-driven** kernel ablation (the whole-circuit
 //! reference inner loop against the fanout-cone-restricted worklist
-//! kernel), the event kernel at every measured lane width
-//! (`PatternWords<L>`, 64·L patterns per block), the old
-//! static-partition threaded engine, and the work-stealing threaded
-//! engine at every lane × thread combination. Every row is asserted
-//! bit-identical to the first engine that ran, so the bench doubles as
-//! an integration test of the lane/deque machinery at real workload
-//! sizes.
+//! kernel), the event kernel on one thread at every measured lane width
+//! (`PatternWords<L>`, 64·L patterns per block), and the work-stealing
+//! driver at every lane × thread combination. Every event row builds its
+//! `SimGraph` inside the timed call, as the plain `simulate_faults`
+//! does. Every row is asserted bit-identical to the first engine that
+//! ran, so the bench doubles as an integration test of the lane/deque
+//! machinery at real workload sizes.
 //!
 //! Knobs (environment variables):
 //!
@@ -19,7 +19,7 @@
 //!   and `4` for smoke runs);
 //! * `SINW_PPSFP_PATTERNS` — pattern count (default 96 measuring,
 //!   16 smoke);
-//! * `SINW_PPSFP_THREADS` — worker count for the threaded engines
+//! * `SINW_PPSFP_THREADS` — worker count for the threaded rows
 //!   (default 0 = `std::thread::available_parallelism`);
 //! * `SINW_LANES` — extra lane width folded into the measured set (the
 //!   engine-default knob, also read by the library dispatch);
@@ -27,24 +27,23 @@
 //!   trajectory (default `BENCH_ppsfp.json` in the working directory).
 //!
 //! The run writes `BENCH_ppsfp.json` with the full curve (one row per
-//! width × engine × lanes × threads, wall-time ms and steal counts)
-//! plus an `acceptance` object: at the largest measuring width the
-//! L = 4 work-stealing kernel must beat the L = 1 static-partition
-//! kernel at equal thread count. The serial baseline only runs at
-//! widths ≤ 16 and the full-pass oracle at widths ≤ 32 — both are
-//! orders of magnitude off the event kernel and would dominate the
-//! wall clock at c6288-class sizes. The ≥5× event-vs-full-pass
-//! assertion arms at measuring widths ≥ 32, as before.
+//! width × engine × lanes × threads, wall-time ms and steal counts).
+//! The serial baseline only runs at widths ≤ 16 and the full-pass
+//! baseline at widths ≤ 32 — both are orders of magnitude off the event
+//! kernel and would dominate the wall clock at c6288-class sizes. The
+//! ≥5× event-vs-full-pass assertion arms at measuring widths ≥ 32.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use sinw_atpg::collapse::collapse;
 use sinw_atpg::fault_list::enumerate_stuck_at;
+use sinw_atpg::fault_list::StuckAtFault;
 use sinw_atpg::faultsim::{
-    configured_lanes, seeded_patterns, simulate_faults_full_pass, simulate_faults_lanes,
-    simulate_faults_serial, simulate_faults_threaded_static, simulate_faults_threaded_stats,
-    FaultSimReport, SUPPORTED_LANES,
+    configured_lanes, seeded_patterns, simulate_faults_full_pass, simulate_faults_serial,
+    simulate_faults_with, FaultSimReport, SimOptions, StealStats, SUPPORTED_LANES,
 };
+use sinw_atpg::graph::SimGraph;
 use sinw_bench::{env_usize, env_usize_list, write_bench_json};
+use sinw_switch::gate::Circuit;
 use sinw_switch::generate::array_multiplier;
 use std::time::{Duration, Instant};
 
@@ -86,6 +85,19 @@ fn timed<R>(f: &dyn Fn() -> R) -> (R, Duration) {
     (result.expect("three runs"), best)
 }
 
+/// The detect mode without dropping, graph build included.
+fn event(
+    circuit: &Circuit,
+    faults: &[StuckAtFault],
+    patterns: &[Vec<bool>],
+    lanes: usize,
+    threads: usize,
+) -> (FaultSimReport, StealStats) {
+    let graph = SimGraph::build(circuit);
+    let options = SimOptions { lanes, threads };
+    simulate_faults_with(circuit, &graph, faults, patterns, false, options)
+}
+
 fn speedup(base: Duration, new: Duration) -> f64 {
     base.as_secs_f64() / new.as_secs_f64().max(1e-12)
 }
@@ -101,7 +113,7 @@ fn bench(c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let eff_threads = if threads == 0 { cores } else { threads };
 
-    // Lane widths to measure: 1 and 4 always (the acceptance pair), plus
+    // Lane widths to measure: 1 and 4 always, plus
     // whatever SINW_LANES asks for; the full {1,2,4,8} sweep when
     // measuring.
     let mut lane_set: Vec<usize> = if measuring {
@@ -126,8 +138,6 @@ fn bench(c: &mut Criterion) {
     );
 
     let mut curve_blocks: Vec<String> = Vec::new();
-    let mut acceptance: Option<String> = None;
-    let max_width = widths.iter().copied().max().unwrap_or(0);
 
     for &width in &widths {
         let circuit = array_multiplier(width);
@@ -185,7 +195,7 @@ fn bench(c: &mut Criterion) {
         // Event kernel across lane widths.
         let mut t_event1: Option<Duration> = None;
         for &lanes in &lane_set {
-            let (r, t) = timed(&|| simulate_faults_lanes(&circuit, reps, &patterns, false, lanes));
+            let ((r, _), t) = timed(&|| event(&circuit, reps, &patterns, lanes, 1));
             println!(
                 "    event  L={lanes}      {:>10.1} ms",
                 t.as_secs_f64() * 1e3
@@ -214,33 +224,11 @@ fn bench(c: &mut Criterion) {
             }
         }
 
-        // Threaded engines: the old static partitioner (L = 1) as the
-        // ablation baseline, then work-stealing across lanes × threads.
-        let mut t_static: Option<Duration> = None;
-        let mut t_steal4: Option<Duration> = None;
-        for &t_count in &thread_set {
-            let (r, t) = timed(&|| {
-                simulate_faults_threaded_static(&circuit, reps, &patterns, false, t_count)
-            });
-            println!(
-                "    static L=1 T={t_count}  {:>10.1} ms",
-                t.as_secs_f64() * 1e3
-            );
-            check("threaded_static", r);
-            rows.push(Row {
-                engine: "threaded_static",
-                lanes: 1,
-                threads: t_count,
-                wall: t,
-                steals: None,
-            });
-            if t_count == *thread_set.last().expect("non-empty") {
-                t_static = Some(t);
-            }
+        // Work stealing across lanes × threads (one thread is the event
+        // row above).
+        for &t_count in thread_set.iter().filter(|&&t| t > 1) {
             for &lanes in &lane_set {
-                let ((r, stats), t) = timed(&|| {
-                    simulate_faults_threaded_stats(&circuit, reps, &patterns, false, t_count, lanes)
-                });
+                let ((r, stats), t) = timed(&|| event(&circuit, reps, &patterns, lanes, t_count));
                 println!(
                     "    steal  L={lanes} T={t_count}  {:>10.1} ms   ({} steals)",
                     t.as_secs_f64() * 1e3,
@@ -254,40 +242,6 @@ fn bench(c: &mut Criterion) {
                     wall: t,
                     steals: Some(stats.steals),
                 });
-                if lanes == 4 && t_count == *thread_set.last().expect("non-empty") {
-                    t_steal4 = Some(t);
-                }
-            }
-        }
-
-        // Acceptance: at the largest measuring width the L = 4
-        // work-stealing kernel must beat the L = 1 static-partition
-        // kernel at equal thread count.
-        if width == max_width {
-            if let (Some(ts), Some(t4)) = (t_static, t_steal4) {
-                let gain = speedup(ts, t4);
-                println!(
-                    "    L=4 stealing vs L=1 static at T={}: {gain:.2}x",
-                    thread_set.last().expect("non-empty")
-                );
-                if measuring && width >= 32 {
-                    assert!(
-                        t4 < ts,
-                        "L=4 work-stealing ({:.1} ms) must beat L=1 static \
-                         partitioning ({:.1} ms) at equal thread count",
-                        t4.as_secs_f64() * 1e3,
-                        ts.as_secs_f64() * 1e3
-                    );
-                }
-                acceptance = Some(format!(
-                    "  \"acceptance\": {{\"width\": {width}, \"threads\": {}, \
-                     \"l1_static_ms\": {:.3}, \"l4_steal_ms\": {:.3}, \
-                     \"speedup\": {gain:.3}, \"pass\": {}}},\n",
-                    thread_set.last().expect("non-empty"),
-                    ts.as_secs_f64() * 1e3,
-                    t4.as_secs_f64() * 1e3,
-                    t4 < ts
-                ));
             }
         }
 
@@ -305,9 +259,8 @@ fn bench(c: &mut Criterion) {
 
     let json = format!(
         "{{\n  \"bench\": \"ppsfp_scaling\",\n  \"hw_threads\": {cores},\n  \
-         \"lanes\": {lane_set:?},\n  \"thread_counts\": {thread_set:?},\n{}  \
+         \"lanes\": {lane_set:?},\n  \"thread_counts\": {thread_set:?},\n  \
          \"curve\": [\n{}\n  ]\n}}\n",
-        acceptance.unwrap_or_default(),
         curve_blocks.join(",\n")
     );
     write_bench_json("BENCH_ppsfp.json", &json);
@@ -324,24 +277,13 @@ fn bench(c: &mut Criterion) {
         0x9E37_79B9_97F4_A7C1,
     );
     c.bench_function("ppsfp/event_l1", |b| {
-        b.iter(|| black_box(simulate_faults_lanes(&circuit, &reps, &patterns, false, 1)));
+        b.iter(|| black_box(event(&circuit, &reps, &patterns, 1, 1)));
     });
     c.bench_function("ppsfp/event_l4", |b| {
-        b.iter(|| black_box(simulate_faults_lanes(&circuit, &reps, &patterns, false, 4)));
-    });
-    c.bench_function("ppsfp/threaded_static", |b| {
-        b.iter(|| {
-            black_box(simulate_faults_threaded_static(
-                &circuit, &reps, &patterns, false, threads,
-            ))
-        });
+        b.iter(|| black_box(event(&circuit, &reps, &patterns, 4, 1)));
     });
     c.bench_function("ppsfp/threaded_steal_l4", |b| {
-        b.iter(|| {
-            black_box(simulate_faults_threaded_stats(
-                &circuit, &reps, &patterns, false, threads, 4,
-            ))
-        });
+        b.iter(|| black_box(event(&circuit, &reps, &patterns, 4, threads)));
     });
 }
 

@@ -26,12 +26,16 @@
 //! * `s27` reaches 100% testable coverage for both fault models.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use sinw_atpg::faultsim::{FaultSimReport, SimOptions};
+use sinw_atpg::graph::SimGraph;
+use sinw_atpg::sof::CircuitTwoPattern;
 use sinw_atpg::tpg::{AtpgConfig, AtpgEngine};
 use sinw_atpg::transition::{
-    enumerate_transition, simulate_transition_lanes, simulate_transition_serial,
-    simulate_transition_threaded, TransitionAtpg, TransitionAtpgConfig,
+    enumerate_transition, simulate_transition_serial, simulate_transition_with, TransitionAtpg,
+    TransitionAtpgConfig, TransitionFault,
 };
 use sinw_bench::{env_usize, env_usize_list, write_bench_json};
+use sinw_switch::gate::Circuit;
 use sinw_switch::generate::pipelined_array_multiplier;
 use sinw_switch::iscas::{parse_bench_seq, S27_BENCH};
 use sinw_switch::seq::SeqCircuit;
@@ -64,6 +68,20 @@ fn timed<T>(mut run: impl FnMut() -> T) -> (T, f64) {
         result = Some(r);
     }
     (result.expect("three runs"), best)
+}
+
+/// The pair detect mode with dropping, graph build included, at an
+/// explicit lane width and thread count (0 = every core).
+fn pair_sim(
+    circuit: &Circuit,
+    faults: &[TransitionFault],
+    pairs: &[CircuitTwoPattern],
+    lanes: usize,
+    threads: usize,
+) -> FaultSimReport {
+    let graph = SimGraph::build(circuit);
+    let options = SimOptions { lanes, threads };
+    simulate_transition_with(circuit, &graph, faults, pairs, true, options).0
 }
 
 fn run_machine(name: &str, seq: &SeqCircuit, threads: usize) -> MachineRun {
@@ -100,10 +118,10 @@ fn run_machine(name: &str, seq: &SeqCircuit, threads: usize) -> MachineRun {
     // The pair-simulation ladder, bit-identity enforced.
     let (serial, serial_ms) =
         timed(|| simulate_transition_serial(circuit, &faults, &report.pairs, true));
-    let (wide, wide_ms) =
-        timed(|| simulate_transition_lanes(circuit, &faults, &report.pairs, true, 1));
+    let (wide, wide_ms) = timed(|| pair_sim(circuit, &faults, &report.pairs, 1, 1));
+    let lanes = SimOptions::default().lanes;
     let (threaded, threaded_ms) =
-        timed(|| simulate_transition_threaded(circuit, &faults, &report.pairs, true, threads));
+        timed(|| pair_sim(circuit, &faults, &report.pairs, lanes, threads));
     assert_eq!(serial, wide, "{name}: serial vs 64-wide pair engines");
     assert_eq!(wide, threaded, "{name}: 64-wide vs threaded pair engines");
 
@@ -218,11 +236,11 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("seq/pairs_threaded", |b| {
         b.iter(|| {
-            black_box(simulate_transition_threaded(
+            black_box(pair_sim(
                 engine.circuit(),
                 &faults,
                 &pairs,
-                true,
+                SimOptions::default().lanes,
                 threads,
             ))
         });

@@ -16,14 +16,17 @@
 //! ```no_run
 //! // What `cargo bench --bench ppsfp_scaling` measures, in miniature:
 //! use sinw_atpg::fault_list::enumerate_stuck_at;
-//! use sinw_atpg::faultsim::{simulate_faults_serial, simulate_faults_threaded};
+//! use sinw_atpg::faultsim::{simulate_faults_serial, simulate_faults_with, SimOptions};
+//! use sinw_atpg::graph::SimGraph;
 //! use sinw_switch::generate::array_multiplier;
 //!
 //! let circuit = array_multiplier(8);
+//! let graph = SimGraph::build(&circuit);
 //! let faults = enumerate_stuck_at(&circuit);
 //! let patterns = vec![vec![true; circuit.primary_inputs().len()]; 16];
 //! let serial = simulate_faults_serial(&circuit, &faults, &patterns, false);
-//! let threaded = simulate_faults_threaded(&circuit, &faults, &patterns, false, 0);
+//! let options = SimOptions { lanes: 4, threads: 0 };
+//! let (threaded, _) = simulate_faults_with(&circuit, &graph, &faults, &patterns, false, options);
 //! assert_eq!(serial, threaded); // identical reports, different wall clock
 //! ```
 

@@ -197,8 +197,10 @@ mod tests {
 
     #[test]
     fn bench_function_runs_routine_in_test_mode() {
-        let mut c = Criterion::default();
-        c.test_mode = true;
+        let mut c = Criterion {
+            test_mode: true,
+            ..Criterion::default()
+        };
         let mut hits = 0u32;
         c.bench_function("unit/probe", |b| b.iter(|| hits += 1));
         assert_eq!(hits, 1, "test mode must run the routine exactly once");

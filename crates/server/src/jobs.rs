@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 
 use sinw_atpg::diagnose::{DiagnosisReport, FaultDictionary};
 use sinw_atpg::faultsim::{
-    capture_signatures_with_graph, simulate_faults_with_graph, FaultSimReport, SignatureMatrix,
+    capture_signatures_with, simulate_faults_with, FaultSimReport, SignatureMatrix, SimOptions,
 };
 use sinw_atpg::steal::WorkQueue;
 use sinw_atpg::tpg::{AtpgConfig, AtpgEngine, AtpgReport};
@@ -779,6 +779,15 @@ fn chunked<T: Send>(
     ChunkExit::Done(out)
 }
 
+/// Engine options for one job chunk: the job's own workers already
+/// spread the chunks, so each chunk runs on the thread that claimed it.
+fn one_thread() -> SimOptions {
+    SimOptions {
+        threads: 1,
+        ..SimOptions::default()
+    }
+}
+
 fn run_fault_sim(
     compiled: &CompiledCircuit,
     patterns: &[Vec<bool>],
@@ -791,12 +800,13 @@ fn run_fault_sim(
     let chunks = match chunked(faults.len(), threads, shared, |range| {
         failpoint::hit("jobs.faultsim.chunk")?;
         let offset = range.start;
-        let report = simulate_faults_with_graph(
+        let (report, _) = simulate_faults_with(
             compiled.circuit(),
             compiled.graph(),
             &faults[range],
             patterns,
             drop_detected,
+            one_thread(),
         );
         Ok((offset, report))
     }) {
@@ -837,12 +847,14 @@ fn run_signatures(
     let faults = &compiled.collapsed().representatives;
     let chunks = match chunked(faults.len(), threads, shared, |range| {
         failpoint::hit("jobs.signatures.chunk")?;
-        Ok(capture_signatures_with_graph(
+        let (signatures, _) = capture_signatures_with(
             compiled.circuit(),
             compiled.graph(),
             &faults[range],
             patterns,
-        ))
+            one_thread(),
+        );
+        Ok(signatures)
     }) {
         ChunkExit::Done(chunks) => chunks,
         ChunkExit::Cancelled => return Ok(JobOutcome::Cancelled),

@@ -117,7 +117,7 @@ impl CompiledCircuit {
     }
 
     /// The levelized simulation-graph precompute, built once here and
-    /// reused by every `*_with_graph` engine call.
+    /// reused by every `_with` engine call.
     #[must_use]
     pub fn graph(&self) -> &SimGraph {
         &self.graph

@@ -386,8 +386,10 @@ fn wire_loop_survives_seeded_fault_matrices() {
             })
             .collect();
 
-        let mut config = NetConfig::default();
-        config.store_dir = Some(dir.clone());
+        let config = NetConfig {
+            store_dir: Some(dir.clone()),
+            ..NetConfig::default()
+        };
         let server = NetServer::bind("127.0.0.1:0", config).expect("bind");
         let addr = server.local_addr();
 

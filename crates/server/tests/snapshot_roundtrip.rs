@@ -10,7 +10,8 @@ use proptest::prelude::*;
 use sinw_atpg::collapse::collapse;
 use sinw_atpg::diagnose::FaultDictionary;
 use sinw_atpg::fault_list::enumerate_stuck_at;
-use sinw_atpg::faultsim::{seeded_patterns, simulate_faults_lanes, SUPPORTED_LANES};
+use sinw_atpg::faultsim::{seeded_patterns, simulate_faults_with, SimOptions, SUPPORTED_LANES};
+use sinw_atpg::graph::SimGraph;
 use sinw_server::snapshot::{canonical_circuit_bytes, Snapshot};
 use sinw_switch::cells::CellKind;
 use sinw_switch::gate::{Circuit, SignalId};
@@ -131,14 +132,19 @@ proptest! {
 
         let pattern_seed = seed.iter().fold(23u64, |acc, b| acc.rotate_left(3) ^ u64::from(*b));
         let patterns = seeded_patterns(5, n_patterns, pattern_seed);
+        let graph = SimGraph::build(&c);
+        let decoded_graph = SimGraph::build(&decoded.circuit);
         for lanes in SUPPORTED_LANES {
-            let original = simulate_faults_lanes(&c, &faults, &patterns, drop_detected, lanes);
-            let replayed = simulate_faults_lanes(
+            let options = SimOptions { lanes, threads: 1 };
+            let (original, _) =
+                simulate_faults_with(&c, &graph, &faults, &patterns, drop_detected, options);
+            let (replayed, _) = simulate_faults_with(
                 &decoded.circuit,
+                &decoded_graph,
                 &decoded.faults,
                 &patterns,
                 drop_detected,
-                lanes,
+                options,
             );
             prop_assert_eq!(
                 &original,

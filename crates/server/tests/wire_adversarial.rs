@@ -276,7 +276,7 @@ fn a_fuzz_storm_of_connections_leaves_the_server_serving() {
     config.limits.idle_timeout = std::time::Duration::from_millis(500);
     let server = NetServer::bind("127.0.0.1:0", config).expect("bind loopback");
     let addr = server.local_addr();
-    let mut state = 0xBAD5_EED5_0F_u64;
+    let mut state = 0xBA_D5EE_D50F_u64;
     let mut next = move || {
         state ^= state << 13;
         state ^= state >> 7;

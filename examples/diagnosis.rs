@@ -11,6 +11,7 @@
 //! ```
 
 use sinw::atpg::diagnose::{full_pass_observations, FaultDictionary};
+use sinw::atpg::faultsim::{capture_signatures_with, SimOptions};
 use sinw::atpg::tpg::{AtpgConfig, AtpgEngine};
 use sinw::server::registry::CircuitRegistry;
 use sinw::switch::iscas::CSA16_BENCH;
@@ -35,7 +36,13 @@ fn main() {
     let faults = compiled.faults();
     let report =
         AtpgEngine::new(csa, AtpgConfig::default()).run(&compiled.collapsed().representatives);
-    let dict = FaultDictionary::build_threaded(csa, faults, &report.patterns, 0);
+    let all_cores = SimOptions {
+        threads: 0,
+        ..SimOptions::default()
+    };
+    let (signatures, _) =
+        capture_signatures_with(csa, compiled.graph(), faults, &report.patterns, all_cores);
+    let dict = FaultDictionary::from_signatures(&signatures);
     let injected = faults.len() / 3;
     let obs = full_pass_observations(csa, faults[injected], &report.patterns);
     let diag = dict.diagnose(&obs);

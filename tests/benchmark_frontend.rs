@@ -4,17 +4,36 @@
 
 use sinw::atpg::collapse::collapse;
 use sinw::atpg::fault_list::enumerate_stuck_at;
+use sinw::atpg::fault_list::StuckAtFault;
 use sinw::atpg::faultsim::{
     seeded_patterns, simulate_faults, simulate_faults_full_pass, simulate_faults_serial,
-    simulate_faults_threaded,
+    simulate_faults_with, FaultSimReport, SimOptions,
 };
+use sinw::atpg::graph::SimGraph;
+use sinw::atpg::oracle::stuck_at_oracle;
 use sinw::core::experiments::{benchmark_suite, fault_coverage};
+use sinw::switch::gate::Circuit;
 use sinw::switch::iscas::{parse_bench, C17_BENCH, CSA16_BENCH};
 
 fn exhaustive_patterns(n_pi: usize) -> Vec<Vec<bool>> {
     (0..(1u32 << n_pi))
         .map(|bits| (0..n_pi).map(|k| (bits >> k) & 1 == 1).collect())
         .collect()
+}
+
+/// The detect mode with dropping on `threads` workers (0 = every core).
+fn threaded(
+    circuit: &Circuit,
+    faults: &[StuckAtFault],
+    patterns: &[Vec<bool>],
+    threads: usize,
+) -> FaultSimReport {
+    let graph = SimGraph::build(circuit);
+    let options = SimOptions {
+        threads,
+        ..SimOptions::default()
+    };
+    simulate_faults_with(circuit, &graph, faults, patterns, true, options).0
 }
 
 /// Golden numbers for c17: the full stuck-at universe has 22 stem + 12
@@ -32,7 +51,7 @@ fn c17_stuck_at_coverage_golden() {
         "c17 collapsed universe"
     );
     let patterns = exhaustive_patterns(5);
-    let report = simulate_faults_threaded(&c17, &collapsed.representatives, &patterns, true, 0);
+    let report = threaded(&c17, &collapsed.representatives, &patterns, 0);
     assert_eq!(report.detected.len(), 22);
     assert_eq!(report.undetected.len(), 0);
     assert_eq!(report.coverage(), 1.0, "c17 is fully testable");
@@ -49,16 +68,15 @@ fn c17_thread_parallel_matches_serial() {
     let patterns = exhaustive_patterns(5);
     let serial = simulate_faults_serial(&c17, &collapsed.representatives, &patterns, true);
     for threads in [1usize, 2, 5, 0] {
-        let threaded =
-            simulate_faults_threaded(&c17, &collapsed.representatives, &patterns, true, threads);
-        assert_eq!(threaded, serial, "threads = {threads}");
+        let report = threaded(&c17, &collapsed.representatives, &patterns, threads);
+        assert_eq!(report, serial, "threads = {threads}");
     }
 }
 
 /// Engine agreement on the mid-size embedded fixture with a random
 /// pattern set (csa16 is too wide for exhaustive application). The
-/// retained full-pass oracle must agree with the three event-driven
-/// engines bit for bit.
+/// scalar oracle, the full-pass baseline and the three event-driven
+/// layouts must agree bit for bit.
 #[test]
 fn csa16_engines_agree() {
     let csa = parse_bench(CSA16_BENCH).expect("embedded csa16 parses");
@@ -67,11 +85,13 @@ fn csa16_engines_agree() {
     let patterns = seeded_patterns(csa.primary_inputs().len(), 96, 0xDEAD_BEEF);
     let serial = simulate_faults_serial(&csa, &collapsed.representatives, &patterns, true);
     let block = simulate_faults(&csa, &collapsed.representatives, &patterns, true);
-    let threaded = simulate_faults_threaded(&csa, &collapsed.representatives, &patterns, true, 3);
+    let threaded = threaded(&csa, &collapsed.representatives, &patterns, 3);
     let full_pass = simulate_faults_full_pass(&csa, &collapsed.representatives, &patterns, true);
+    let oracle = stuck_at_oracle(&csa, &collapsed.representatives, &patterns);
     assert_eq!(serial, block);
     assert_eq!(serial, threaded);
     assert_eq!(serial, full_pass);
+    assert_eq!(serial, oracle);
     assert!(
         serial.coverage() > 0.9,
         "random patterns cover most of csa16"
@@ -96,7 +116,7 @@ fn csa16_stuck_at_coverage_golden() {
         "csa16 collapsed universe"
     );
     let patterns = seeded_patterns(csa.primary_inputs().len(), 96, 0xDEAD_BEEF);
-    let report = simulate_faults_threaded(&csa, &collapsed.representatives, &patterns, true, 0);
+    let report = threaded(&csa, &collapsed.representatives, &patterns, 0);
     assert_eq!(report.detected.len(), 620);
     assert_eq!(report.undetected.len(), 6);
     let coverage = report.coverage();

@@ -8,23 +8,35 @@
 //! bit for bit.
 
 use sinw::atpg::diagnose::{full_pass_observations, FaultDictionary};
-use sinw::atpg::fault_list::enumerate_stuck_at;
-use sinw::atpg::faultsim::simulate_faults;
+use sinw::atpg::fault_list::{enumerate_stuck_at, StuckAtFault};
+use sinw::atpg::faultsim::{capture_signatures_with, simulate_faults, SimOptions};
+use sinw::atpg::graph::SimGraph;
 use sinw::atpg::tpg::{AtpgConfig, AtpgEngine, FaultStatus};
 use sinw::switch::gate::Circuit;
 use sinw::switch::iscas::{parse_bench, C17_BENCH, CSA16_BENCH};
 
 /// Campaign-compacted pattern set at the default deterministic config,
 /// plus the collapsed universe and per-representative statuses.
-fn campaign_patterns(
-    circuit: &Circuit,
-) -> (
-    Vec<Vec<bool>>,
-    Vec<sinw::atpg::StuckAtFault>,
-    Vec<FaultStatus>,
-) {
+fn campaign_patterns(circuit: &Circuit) -> (Vec<Vec<bool>>, Vec<StuckAtFault>, Vec<FaultStatus>) {
     let (collapsed, report) = AtpgEngine::run_collapsed(circuit, AtpgConfig::default());
     (report.patterns, collapsed.representatives, report.statuses)
+}
+
+/// A dictionary from the work-stealing capture on `threads` workers
+/// (0 = every core).
+fn threaded_dictionary(
+    circuit: &Circuit,
+    faults: &[StuckAtFault],
+    patterns: &[Vec<bool>],
+    threads: usize,
+) -> FaultDictionary {
+    let graph = SimGraph::build(circuit);
+    let options = SimOptions {
+        threads,
+        ..SimOptions::default()
+    };
+    let (signatures, _) = capture_signatures_with(circuit, &graph, faults, patterns, options);
+    FaultDictionary::from_signatures(&signatures)
 }
 
 /// c17 dictionary golden: the full 34-fault universe over the campaign's
@@ -47,7 +59,7 @@ fn c17_dictionary_stats_are_pinned() {
     assert_eq!(stats.max_class_size, 4);
     // The builds are one engine in three guises.
     let serial = FaultDictionary::build_serial(&c17, &faults, &patterns);
-    let threaded = FaultDictionary::build_threaded(&c17, &faults, &patterns, 3);
+    let threaded = threaded_dictionary(&c17, &faults, &patterns, 3);
     assert_eq!(dict.class_of(), serial.class_of());
     assert_eq!(dict.class_of(), threaded.class_of());
 }
@@ -62,7 +74,7 @@ fn csa16_redundant_faults_form_the_empty_class() {
     let csa = parse_bench(CSA16_BENCH).expect("embedded csa16 parses");
     let faults = enumerate_stuck_at(&csa);
     let (patterns, representatives, statuses) = campaign_patterns(&csa);
-    let dict = FaultDictionary::build_threaded(&csa, &faults, &patterns, 0);
+    let dict = threaded_dictionary(&csa, &faults, &patterns, 0);
     let stats = dict.stats();
     assert_eq!(stats.faults, 1192, "csa16 stuck-at universe");
     assert_eq!(stats.classes, 550, "csa16 class count");
@@ -121,7 +133,7 @@ fn injected_defect_walk_on_csa16() {
     let csa = parse_bench(CSA16_BENCH).expect("embedded csa16 parses");
     let faults = enumerate_stuck_at(&csa);
     let (patterns, _, _) = campaign_patterns(&csa);
-    let dict = FaultDictionary::build_threaded(&csa, &faults, &patterns, 0);
+    let dict = threaded_dictionary(&csa, &faults, &patterns, 0);
     for fi in (0..faults.len()).step_by(97) {
         let obs = full_pass_observations(&csa, faults[fi], &patterns);
         let report = dict.diagnose(&obs);

@@ -7,10 +7,12 @@
 
 use sinw::atpg::tpg::{AtpgConfig, AtpgEngine};
 use sinw::atpg::transition::{
-    enumerate_transition, simulate_transition_lanes, simulate_transition_serial,
-    simulate_transition_threaded, transition_oracle, TransitionAtpg, TransitionAtpgConfig,
+    enumerate_transition, simulate_transition_serial, simulate_transition_with, TransitionAtpg,
+    TransitionAtpgConfig,
 };
-use sinw::atpg::{collapse, enumerate_stuck_at, SUPPORTED_LANES};
+use sinw::atpg::{
+    collapse, enumerate_stuck_at, transition_oracle, SimGraph, SimOptions, SUPPORTED_LANES,
+};
 use sinw::switch::iscas::{parse_bench, parse_bench_seq, to_bench_seq, BenchErrorKind, S27_BENCH};
 use sinw::switch::scan::{insert_scan, ScanPlan};
 
@@ -124,30 +126,29 @@ fn s27_transition_campaign_is_pinned_and_engine_identical() {
         .map(|(i, _)| i)
         .collect();
     assert_eq!(oracle.detected, classified);
+    let graph = SimGraph::build(engine.circuit());
     for drop in [false, true] {
         for lanes in SUPPORTED_LANES {
-            assert_eq!(
-                simulate_transition_lanes(engine.circuit(), &faults, &report.pairs, drop, lanes),
-                oracle,
-                "lanes {lanes}, drop {drop}"
-            );
+            for threads in [1usize, 2, 0] {
+                let options = SimOptions { lanes, threads };
+                let (replay, _) = simulate_transition_with(
+                    engine.circuit(),
+                    &graph,
+                    &faults,
+                    &report.pairs,
+                    drop,
+                    options,
+                );
+                assert_eq!(
+                    replay, oracle,
+                    "lanes {lanes}, threads {threads}, drop {drop}"
+                );
+            }
         }
         assert_eq!(
             simulate_transition_serial(engine.circuit(), &faults, &report.pairs, drop),
             oracle
         );
-        for threads in [2usize, 0] {
-            assert_eq!(
-                simulate_transition_threaded(
-                    engine.circuit(),
-                    &faults,
-                    &report.pairs,
-                    drop,
-                    threads
-                ),
-                oracle
-            );
-        }
     }
 }
 
