@@ -4,8 +4,12 @@
 //! Controllable Polarity Silicon Nanowire Circuits"*: the classical
 //! baseline algorithms the paper measures its new fault models against.
 //!
-//! * [`podem`] — PODEM stuck-at test generation, with the constrained
-//!   justification mode the cell-aware flow of `sinw-core` builds on;
+//! * [`podem`] — PODEM stuck-at test generation on event-driven
+//!   implication, with the constrained justification mode the
+//!   cell-aware flow of `sinw-core` builds on;
+//! * [`twin`] — the good/faulty twin values PODEM reasons in, and the
+//!   whole-circuit twin simulation its implication engine is tested
+//!   against;
 //! * [`faultsim`] — stuck-at fault simulation (PPSFP) with fault
 //!   dropping, signature capture and reverse-order compaction, all on
 //!   one event-driven, fanout-cone-restricted kernel over the [`graph`]

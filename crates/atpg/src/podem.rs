@@ -1,16 +1,26 @@
 //! PODEM test-pattern generation for single stuck-at faults.
 //!
 //! The classical baseline ATPG of the paper's Section II: PI-only decision
-//! making with implication by forward twin simulation, objective selection
-//! from the D-frontier, and backtrace through cell-specific rules. Used by
-//! `sinw-core` both directly (classical stuck-at tests) and as the
-//! justification/propagation engine of the cell-aware flow.
+//! making, objective selection from the D-frontier, and backtrace through
+//! cell-specific rules. Used by `sinw-core` both directly (classical
+//! stuck-at tests) and as the justification/propagation engine of the
+//! cell-aware flow.
+//!
+//! Implication is event-driven twin simulation. Each search compiles the
+//! circuit once, in O(gates), into gate arrays, a fanout CSR, gate levels
+//! and 3^k cell truth tables filled by [`eval_cell`]. A decision or a
+//! backtrack changes a few PIs, and only their fanout cones are
+//! re-evaluated, level by level; an event stops where a good/faulty twin
+//! does not change. The fault-free searches of [`justify`] run through the
+//! same engine. [`crate::twin::simulate`] is the full-pass reference the
+//! engine is tested against after every step.
 
 use crate::fault_list::{FaultSite, StuckAtFault};
-use crate::twin::{detected_at_po, simulate, Twin};
+use crate::twin::{detected_at_po, Twin};
 use sinw_switch::cells::CellKind;
-use sinw_switch::gate::{Circuit, SignalId};
+use sinw_switch::gate::{eval_cell, Circuit, SignalId};
 use sinw_switch::value::Logic;
+use std::sync::OnceLock;
 
 /// PODEM configuration.
 #[derive(Debug, Clone, Copy)]
@@ -55,7 +65,7 @@ pub type Constraint = (SignalId, bool);
 /// Generate a test for `fault` on `circuit`.
 #[must_use]
 pub fn generate_test(circuit: &Circuit, fault: StuckAtFault, config: &PodemConfig) -> PodemResult {
-    search(circuit, Some(fault), &[], config)
+    search(circuit, Some(fault), &[], config).0
 }
 
 /// Generate a test for `fault` while also justifying the given signal
@@ -69,7 +79,7 @@ pub fn generate_test_constrained(
     constraints: &[Constraint],
     config: &PodemConfig,
 ) -> PodemResult {
-    search(circuit, Some(fault), constraints, config)
+    search(circuit, Some(fault), constraints, config).0
 }
 
 /// Find a primary-input cube that justifies all the given signal values
@@ -80,40 +90,33 @@ pub fn justify(
     constraints: &[Constraint],
     config: &PodemConfig,
 ) -> Option<Vec<Option<bool>>> {
-    match search(circuit, None, constraints, config) {
+    match search(circuit, None, constraints, config).0 {
         PodemResult::Test(p) => Some(p),
         _ => None,
     }
 }
 
-/// The shared branch-and-bound search.
+/// The shared branch-and-bound search; also returns the number of
+/// backtracks it spent (the work count of the campaign reports).
 ///
 /// With a fault, success requires detection at a PO (plus any constraints
 /// satisfied); without one, success is satisfying every constraint.
-fn search(
+pub(crate) fn search(
     circuit: &Circuit,
     fault: Option<StuckAtFault>,
     constraints: &[Constraint],
     config: &PodemConfig,
-) -> PodemResult {
-    let pis = circuit.primary_inputs();
-    let mut assignment: Vec<Option<bool>> = vec![None; pis.len()];
+) -> (PodemResult, usize) {
+    let mut assignment: Vec<Option<bool>> = vec![None; circuit.primary_inputs().len()];
     // Decision stack: (pi index, value, alternate_tried).
     let mut stack: Vec<(usize, bool, bool)> = Vec::new();
     let mut backtracks = 0usize;
-    // A harmless placeholder for constraint-only searches: twin simulation
-    // with an unactivatable fault value never diverges.
-    let sim_fault = fault.unwrap_or(StuckAtFault::sa0(FaultSite::Signal(SignalId(0))));
+    let mut sim = Implication::compile(circuit, fault);
+    let mut reach = vec![false; circuit.signal_count()];
 
     loop {
-        let twins = if fault.is_some() {
-            simulate(circuit, sim_fault, &assignment)
-        } else {
-            // Fault-free: good == faulty by construction when the fault is
-            // never activated; simulate with an inert twin by reusing the
-            // machinery and ignoring the faulty half.
-            simulate_fault_free(circuit, &assignment)
-        };
+        sim.settle();
+        let twins = &sim.twins;
 
         let constraint_conflict = constraints.iter().any(|(s, v)| {
             let g = twins[s.0].good;
@@ -124,17 +127,17 @@ fn search(
             .all(|(s, v)| twins[s.0].good == Logic::from_bool(*v));
 
         let success = if fault.is_some() {
-            constraints_met && detected_at_po(circuit, &twins)
+            constraints_met && detected_at_po(circuit, twins)
         } else {
             constraints_met
         };
         if success {
-            return PodemResult::Test(assignment);
+            return (PodemResult::Test(assignment), backtracks);
         }
 
         let feasible = !constraint_conflict
             && match fault {
-                Some(f) => test_possible(circuit, f, &twins),
+                Some(f) => test_possible(circuit, f, twins, &mut reach),
                 None => true,
             };
         let objective = if feasible {
@@ -143,14 +146,15 @@ fn search(
                 .iter()
                 .find(|(s, _)| twins[s.0].good == Logic::X)
                 .map(|(s, v)| (*s, Logic::from_bool(*v)))
-                .or_else(|| fault.and_then(|f| pick_objective(circuit, f, &twins)))
+                .or_else(|| fault.and_then(|f| pick_objective(circuit, f, twins)))
         } else {
             None
         };
 
         if let Some((sig, val)) = objective {
-            if let Some((pi_idx, pi_val)) = backtrace(circuit, &twins, sig, val) {
+            if let Some((pi_idx, pi_val)) = backtrace(circuit, twins, &sim.pi_index, sig, val) {
                 assignment[pi_idx] = Some(pi_val);
+                sim.assign(pi_idx, Some(pi_val));
                 stack.push((pi_idx, pi_val, false));
                 continue;
             }
@@ -160,16 +164,18 @@ fn search(
         // Backtrack.
         loop {
             match stack.pop() {
-                None => return PodemResult::Untestable,
+                None => return (PodemResult::Untestable, backtracks),
                 Some((pi_idx, _, true)) => {
                     assignment[pi_idx] = None;
+                    sim.assign(pi_idx, None);
                 }
                 Some((pi_idx, val, false)) => {
                     backtracks += 1;
                     if backtracks > config.backtrack_limit {
-                        return PodemResult::Aborted;
+                        return (PodemResult::Aborted, backtracks);
                     }
                     assignment[pi_idx] = Some(!val);
+                    sim.assign(pi_idx, Some(!val));
                     stack.push((pi_idx, !val, true));
                     break;
                 }
@@ -178,27 +184,225 @@ fn search(
     }
 }
 
-/// Fault-free twin simulation (good == faulty everywhere).
-fn simulate_fault_free(circuit: &Circuit, pi_assignment: &[Option<bool>]) -> Vec<Twin> {
-    let logic: Vec<Logic> = {
-        let mut v = vec![Logic::X; circuit.signal_count()];
-        for (k, pi) in circuit.primary_inputs().iter().enumerate() {
-            v[pi.0] = match pi_assignment[k] {
-                Some(b) => Logic::from_bool(b),
-                None => Logic::X,
+/// Position of a three-valued level in a truth-table index.
+fn trit(v: Logic) -> usize {
+    match v {
+        Logic::Zero => 0,
+        Logic::One => 1,
+        Logic::X => 2,
+    }
+}
+
+/// One 3^k truth table per cell kind (indexed by `kind as usize`, entry
+/// `Σ trit(input_i)·3^i`), filled by [`eval_cell`] itself so the cell
+/// semantics keep a single source.
+fn truth_tables() -> &'static [[Logic; 27]; CellKind::ALL.len()] {
+    static TABLES: OnceLock<[[Logic; 27]; CellKind::ALL.len()]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut tables = [[Logic::X; 27]; CellKind::ALL.len()];
+        for kind in CellKind::ALL {
+            let k = kind.input_count();
+            for (idx, entry) in tables[kind as usize][..3usize.pow(k as u32)]
+                .iter_mut()
+                .enumerate()
+            {
+                let ins: Vec<Logic> = (0..k)
+                    .map(|i| [Logic::Zero, Logic::One, Logic::X][idx / 3usize.pow(i as u32) % 3])
+                    .collect();
+                *entry = eval_cell(kind, &ins);
+            }
+        }
+        tables
+    })
+}
+
+/// Incremental, event-driven twin simulation: PODEM's implication step.
+///
+/// Compiled once per search in O(gates): structure-of-arrays gates, a
+/// signal→gate fanout CSR, gate levels and a signal→PI-index map. A
+/// decision or backtrack changes a few PIs; [`Implication::settle`] then
+/// re-evaluates only their fanout cones, level by level from a bucket
+/// queue, and an event dies where a twin value does not change. Fault
+/// injection matches [`crate::twin::simulate`] (the full-pass reference
+/// the unit tests compare against): the PI site, the gate-pin site and
+/// the output site; `fault: None` is the fault-free machine.
+struct Implication {
+    /// The cell truth tables of [`truth_tables`].
+    tables: &'static [[Logic; 27]; CellKind::ALL.len()],
+    /// Per gate: cell kind, first entry in `inputs`, output signal, level.
+    kinds: Vec<CellKind>,
+    input_start: Vec<usize>,
+    inputs: Vec<usize>,
+    outputs: Vec<usize>,
+    levels: Vec<usize>,
+    /// `fanout[fanout_start[s]..fanout_start[s + 1]]`: gates read by `s`.
+    fanout_start: Vec<usize>,
+    fanout: Vec<usize>,
+    /// PI position → signal, and signal → PI position (`usize::MAX` for
+    /// gate outputs).
+    pis: Vec<usize>,
+    pi_index: Vec<usize>,
+    /// The stuck value and its sites: a signal (PI or gate output) and a
+    /// `(gate, pin)` branch.
+    stuck: Logic,
+    site_signal: Option<usize>,
+    site_pin: Option<(usize, usize)>,
+    /// The settled twin of every signal.
+    twins: Vec<Twin>,
+    /// Gates awaiting evaluation, bucketed by level; `queued` flags them,
+    /// `pending` counts them and `lowest` is their lowest level.
+    buckets: Vec<Vec<usize>>,
+    queued: Vec<bool>,
+    pending: usize,
+    lowest: usize,
+}
+
+impl Implication {
+    /// Compile `circuit` and settle it under the all-X assignment.
+    fn compile(circuit: &Circuit, fault: Option<StuckAtFault>) -> Self {
+        let n = circuit.signal_count();
+        let gates = circuit.gates();
+        let mut signal_level = vec![0usize; n];
+        let mut sim = Implication {
+            tables: truth_tables(),
+            kinds: gates.iter().map(|g| g.kind).collect(),
+            input_start: Vec::with_capacity(gates.len() + 1),
+            inputs: Vec::new(),
+            outputs: gates.iter().map(|g| g.output.0).collect(),
+            levels: Vec::with_capacity(gates.len()),
+            fanout_start: Vec::with_capacity(n + 1),
+            fanout: Vec::new(),
+            pis: circuit.primary_inputs().iter().map(|p| p.0).collect(),
+            pi_index: vec![usize::MAX; n],
+            stuck: Logic::from_bool(fault.is_some_and(|f| f.value)),
+            site_signal: None,
+            site_pin: None,
+            twins: vec![Twin::X; n],
+            buckets: Vec::new(),
+            queued: vec![false; gates.len()],
+            pending: 0,
+            lowest: usize::MAX,
+        };
+        for gate in gates {
+            sim.input_start.push(sim.inputs.len());
+            sim.inputs.extend(gate.inputs.iter().map(|s| s.0));
+            let level = 1 + gate
+                .inputs
+                .iter()
+                .map(|s| signal_level[s.0])
+                .max()
+                .unwrap_or(0);
+            signal_level[gate.output.0] = level;
+            sim.levels.push(level);
+        }
+        sim.input_start.push(sim.inputs.len());
+        for s in 0..n {
+            sim.fanout_start.push(sim.fanout.len());
+            sim.fanout
+                .extend(circuit.fanout(SignalId(s)).iter().map(|(g, _)| g.0));
+        }
+        sim.fanout_start.push(sim.fanout.len());
+        for (k, &p) in sim.pis.iter().enumerate() {
+            sim.pi_index[p] = k;
+        }
+        match fault.map(|f| f.site) {
+            Some(FaultSite::Signal(s)) => sim.site_signal = Some(s.0),
+            Some(FaultSite::GatePin(g, pin)) => sim.site_pin = Some((g.0, pin)),
+            None => {}
+        }
+        sim.buckets = vec![Vec::new(); sim.levels.iter().max().map_or(0, |l| l + 1)];
+
+        for k in 0..sim.pis.len() {
+            let p = sim.pis[k];
+            sim.twins[p] = sim.pi_twin(p, Logic::X);
+        }
+        for g in 0..gates.len() {
+            let out = sim.outputs[g];
+            sim.twins[out] = sim.eval(g);
+        }
+        sim
+    }
+
+    /// The twin a PI carries at level `v`.
+    fn pi_twin(&self, signal: usize, v: Logic) -> Twin {
+        let faulty = if self.site_signal == Some(signal) {
+            self.stuck
+        } else {
+            v
+        };
+        Twin { good: v, faulty }
+    }
+
+    /// Evaluate gate `g` from its inputs' settled twins.
+    fn eval(&self, g: usize) -> Twin {
+        let (mut good_idx, mut faulty_idx, mut weight) = (0, 0, 1);
+        for (pin, &s) in self.inputs[self.input_start[g]..self.input_start[g + 1]]
+            .iter()
+            .enumerate()
+        {
+            let t = self.twins[s];
+            let faulty = if self.site_pin == Some((g, pin)) {
+                self.stuck
+            } else {
+                t.faulty
             };
+            good_idx += weight * trit(t.good);
+            faulty_idx += weight * trit(faulty);
+            weight *= 3;
         }
-        let mut values = v;
-        for gate in circuit.gates() {
-            let ins: Vec<Logic> = gate.inputs.iter().map(|s| values[s.0]).collect();
-            values[gate.output.0] = sinw_switch::gate::eval_cell(gate.kind, &ins);
+        let table = &self.tables[self.kinds[g] as usize];
+        let out = self.outputs[g];
+        Twin {
+            good: table[good_idx],
+            faulty: if self.site_signal == Some(out) {
+                self.stuck
+            } else {
+                table[faulty_idx]
+            },
         }
-        values
-    };
-    logic
-        .into_iter()
-        .map(|v| Twin { good: v, faulty: v })
-        .collect()
+    }
+
+    /// Set PI `k` (`None` = unassigned) and queue its fanout if its twin
+    /// changed; [`Implication::settle`] propagates.
+    fn assign(&mut self, k: usize, value: Option<bool>) {
+        let p = self.pis[k];
+        let t = self.pi_twin(p, value.map_or(Logic::X, Logic::from_bool));
+        if t != self.twins[p] {
+            self.twins[p] = t;
+            self.schedule_fanout(p);
+        }
+    }
+
+    fn schedule_fanout(&mut self, signal: usize) {
+        for &g in &self.fanout[self.fanout_start[signal]..self.fanout_start[signal + 1]] {
+            if !self.queued[g] {
+                self.queued[g] = true;
+                self.buckets[self.levels[g]].push(g);
+                self.pending += 1;
+                self.lowest = self.lowest.min(self.levels[g]);
+            }
+        }
+    }
+
+    /// Evaluate every queued gate in level order; a gate whose output
+    /// twin changes queues its own fanout, which sits at higher levels.
+    fn settle(&mut self) {
+        let mut level = self.lowest;
+        while self.pending > 0 {
+            while let Some(g) = self.buckets[level].pop() {
+                self.queued[g] = false;
+                self.pending -= 1;
+                let t = self.eval(g);
+                let out = self.outputs[g];
+                if t != self.twins[out] {
+                    self.twins[out] = t;
+                    self.schedule_fanout(out);
+                }
+            }
+            level += 1;
+        }
+        self.lowest = usize::MAX;
+    }
 }
 
 /// Value of the fault site in the good machine.
@@ -215,7 +419,15 @@ fn site_good_value(circuit: &Circuit, fault: StuckAtFault, twins: &[Twin]) -> Lo
 /// Is detection still possible? The fault must be activatable (site not
 /// already at the stuck value in the good machine) and, once activated,
 /// there must be an X-path from a fault effect to a primary output.
-fn test_possible(circuit: &Circuit, fault: StuckAtFault, twins: &[Twin]) -> bool {
+///
+/// `reach` is the caller's buffer, one flag per signal, reused across
+/// steps.
+fn test_possible(
+    circuit: &Circuit,
+    fault: StuckAtFault,
+    twins: &[Twin],
+    reach: &mut [bool],
+) -> bool {
     let site_val = site_good_value(circuit, fault, twins);
     let stuck = Logic::from_bool(fault.value);
     if site_val == stuck {
@@ -225,7 +437,7 @@ fn test_possible(circuit: &Circuit, fault: StuckAtFault, twins: &[Twin]) -> bool
         return true; // not yet activated, still free
     }
     // Activated: a fault effect exists somewhere; check an X-path to a PO.
-    let mut reach = vec![false; circuit.signal_count()];
+    reach.fill(false);
     // Seed: all signals carrying a fault effect.
     let mut any = false;
     for (i, t) in twins.iter().enumerate() {
@@ -348,9 +560,11 @@ fn side_input_value(
 }
 
 /// Backtrace an objective to an unassigned primary input.
+/// `pi_index` maps a signal to its PI position.
 fn backtrace(
     circuit: &Circuit,
     twins: &[Twin],
+    pi_index: &[usize],
     mut sig: SignalId,
     mut val: Logic,
 ) -> Option<(usize, bool)> {
@@ -358,11 +572,7 @@ fn backtrace(
         match circuit.driver(sig) {
             None => {
                 // Reached a PI.
-                let idx = circuit
-                    .primary_inputs()
-                    .iter()
-                    .position(|p| *p == sig)
-                    .expect("undriven signal must be a PI");
+                let idx = pi_index[sig.0];
                 if twins[sig.0].good != Logic::X {
                     return None; // already assigned — cannot help
                 }
@@ -412,6 +622,8 @@ mod tests {
     use super::*;
     use crate::fault_list::enumerate_stuck_at;
     use crate::twin::simulate;
+    use proptest::prelude::*;
+    use sinw_switch::gate::GateId;
 
     fn verify_test(circuit: &Circuit, fault: StuckAtFault, cube: &[Option<bool>]) -> bool {
         let twins = simulate(circuit, fault, cube);
@@ -547,6 +759,96 @@ mod tests {
                     assert!(verify_test(&c, fault, &p), "{}", fault.describe(&c));
                 }
                 other => panic!("parity fault {} -> {other:?}", fault.describe(&c)),
+            }
+        }
+    }
+
+    /// A random DAG of library cells over `n_pi` primary inputs, shaped by
+    /// `seed`; its last three signals are outputs.
+    fn random_circuit(n_pi: usize, n_gates: usize, seed: &[u8]) -> Circuit {
+        let mut c = Circuit::new();
+        let mut signals: Vec<SignalId> = (0..n_pi).map(|i| c.add_input(format!("i{i}"))).collect();
+        let byte = |i: usize| seed[i % seed.len()] as usize;
+        for g in 0..n_gates {
+            let kind = CellKind::ALL[byte(4 * g) % CellKind::ALL.len()];
+            let inputs: Vec<SignalId> = (0..kind.input_count())
+                .map(|pin| signals[byte(4 * g + pin + 1) % signals.len()])
+                .collect();
+            signals.push(c.add_gate(kind, format!("g{g}"), &inputs));
+        }
+        for s in signals.iter().rev().take(3) {
+            c.mark_output(*s);
+        }
+        c
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The event-driven implication engine equals the full-pass
+        /// reference after every step: `twin::simulate` under a PI fault,
+        /// a gate-output fault and a gate-pin fault, and `Circuit::eval`
+        /// in both machines without a fault. A step assigns, unassigns or
+        /// flips one PI; a step with its top bit set is batched with the
+        /// next one before settling, as a backtrack that unwinds several
+        /// decisions is.
+        #[test]
+        fn implication_matches_full_pass_simulation(
+            shape in proptest::collection::vec(any::<u8>(), 64),
+            steps in proptest::collection::vec(any::<u8>(), 1..48),
+            n_pi in 1usize..7,
+            n_gates in 1usize..32,
+        ) {
+            let c = random_circuit(n_pi, n_gates, &shape);
+            let g = shape[0] as usize % n_gates;
+            let gate = &c.gates()[g];
+            let faults = [
+                Some(StuckAtFault {
+                    site: FaultSite::Signal(c.primary_inputs()[shape[1] as usize % n_pi]),
+                    value: shape[2] & 1 == 1,
+                }),
+                Some(StuckAtFault {
+                    site: FaultSite::Signal(gate.output),
+                    value: shape[3] & 1 == 1,
+                }),
+                Some(StuckAtFault {
+                    site: FaultSite::GatePin(GateId(g), shape[4] as usize % gate.inputs.len()),
+                    value: shape[5] & 1 == 1,
+                }),
+                None,
+            ];
+            for fault in faults {
+                let reference = |assignment: &[Option<bool>]| match fault {
+                    Some(f) => simulate(&c, f, assignment),
+                    None => {
+                        let logic: Vec<Logic> = assignment
+                            .iter()
+                            .map(|v| v.map_or(Logic::X, Logic::from_bool))
+                            .collect();
+                        c.eval(&logic)
+                            .into_iter()
+                            .map(|v| Twin { good: v, faulty: v })
+                            .collect()
+                    }
+                };
+                let mut sim = Implication::compile(&c, fault);
+                let mut assignment = vec![None; n_pi];
+                prop_assert_eq!(&sim.twins, &reference(&assignment), "compiled, {fault:?}");
+                for (i, step) in steps.iter().enumerate() {
+                    let k = usize::from((step >> 2) & 0x1f) % n_pi;
+                    assignment[k] = match step & 3 {
+                        0 => None,
+                        1 => Some(false),
+                        2 => Some(true),
+                        _ => assignment[k].map(|b: bool| !b),
+                    };
+                    sim.assign(k, assignment[k]);
+                    if step & 0x80 != 0 && i + 1 < steps.len() {
+                        continue;
+                    }
+                    sim.settle();
+                    prop_assert_eq!(&sim.twins, &reference(&assignment), "step {i}, {fault:?}");
+                }
             }
         }
     }

@@ -36,7 +36,7 @@ use crate::collapse::{collapse, CollapsedFaults};
 use crate::fault_list::{enumerate_stuck_at, StuckAtFault};
 use crate::faultsim::{good_sim_into, FaultSimScratch, PatternBlock, PatternWords, SplitMix64};
 use crate::graph::SimGraph;
-use crate::podem::{generate_test, PodemConfig, PodemResult};
+use crate::podem::{search, PodemConfig, PodemResult};
 use crate::redundancy::RedundancyProver;
 use sinw_switch::gate::Circuit;
 use std::time::Instant;
@@ -139,6 +139,10 @@ pub struct AtpgReport {
     /// Total PODEM invocations (strictly below `total_faults` whenever
     /// random detection + collateral dropping did any work).
     pub podem_calls: usize,
+    /// Backtracks summed over every PODEM call (an aborted call counts
+    /// the one that crossed the limit): deterministic, so it tells a
+    /// cheaper search step from a shorter search.
+    pub podem_backtracks: usize,
     /// Random patterns applied (kept or not).
     pub random_patterns_applied: usize,
     /// Random patterns that earned first-detection credit and were kept.
@@ -302,6 +306,12 @@ impl<'a> AtpgEngine<'a> {
 
     /// Run the full campaign over `faults` (usually collapsed
     /// representatives; duplicates are simply detected together).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a PODEM pattern fails to detect its own target under
+    /// fault simulation: PODEM and the fault-sim kernel disagree, which
+    /// is a bug in one of them.
     #[must_use]
     pub fn run(&self, faults: &[StuckAtFault]) -> AtpgReport {
         let n_pi = self.circuit.primary_inputs().len();
@@ -310,6 +320,7 @@ impl<'a> AtpgEngine<'a> {
         let mut good = vec![PatternWords::ZERO; self.circuit.signal_count()];
         let mut rng = SplitMix64::new(self.config.seed);
         let mut podem_calls = 0usize;
+        let mut podem_backtracks = 0usize;
 
         // ------------------------------------------------------------------
         // Phase 1 — random patterns with fault dropping.
@@ -384,7 +395,10 @@ impl<'a> AtpgEngine<'a> {
                     }
                 }
                 podem_calls += 1;
-                match generate_test(self.circuit, faults[fi], &self.config.podem) {
+                let (result, backtracks) =
+                    search(self.circuit, Some(faults[fi]), &[], &self.config.podem);
+                podem_backtracks += backtracks;
+                match result {
                     PodemResult::Test(cube) => {
                         // Fill and fault-simulate the single pattern so the
                         // whole detected cohort drops before its own PODEM
@@ -402,7 +416,7 @@ impl<'a> AtpgEngine<'a> {
                                 statuses[fj] = FaultStatus::DetectedDeterministic;
                             }
                         }
-                        debug_assert_eq!(
+                        assert_eq!(
                             statuses[fi],
                             FaultStatus::DetectedDeterministic,
                             "a PODEM pattern must detect its own target ({})",
@@ -443,7 +457,10 @@ impl<'a> AtpgEngine<'a> {
                     continue;
                 }
                 podem_calls += 1;
-                match generate_test(self.circuit, faults[fi], &self.config.podem) {
+                let (result, backtracks) =
+                    search(self.circuit, Some(faults[fi]), &[], &self.config.podem);
+                podem_backtracks += backtracks;
+                match result {
                     PodemResult::Test(cube) => {
                         let filled = self.fill(&cube, &mut rng);
                         let block = PatternBlock::pack(self.circuit, std::slice::from_ref(&filled));
@@ -502,6 +519,7 @@ impl<'a> AtpgEngine<'a> {
             untestable: count(FaultStatus::Untestable),
             aborted: count(FaultStatus::Aborted),
             podem_calls,
+            podem_backtracks,
             random_patterns_applied: random_applied,
             random_patterns_kept,
             patterns_before_compaction,
@@ -621,6 +639,7 @@ mod tests {
         let (_, b) = AtpgEngine::run_collapsed(&c, AtpgConfig::default());
         assert_eq!(a.patterns, b.patterns);
         assert_eq!(a.podem_calls, b.podem_calls);
+        assert_eq!(a.podem_backtracks, b.podem_backtracks);
         assert_eq!(a.statuses, b.statuses);
     }
 }

@@ -38,7 +38,7 @@ use crate::faultsim::{
 };
 use crate::graph::SimGraph;
 use crate::lanes::PatternWords;
-use crate::podem::{generate_test_constrained, PodemConfig, PodemResult};
+use crate::podem::{search, PodemConfig, PodemResult};
 use crate::sof::CircuitTwoPattern;
 use crate::tpg::FaultStatus;
 use crate::unroll::{unroll, UnrollConfig, UnrolledCircuit};
@@ -406,6 +406,9 @@ pub struct TransitionAtpgReport {
     pub aborted: usize,
     /// Deterministic-phase PODEM invocations.
     pub podem_calls: usize,
+    /// Backtracks summed over those invocations (an aborted call counts
+    /// the one that crossed the limit).
+    pub podem_backtracks: usize,
     /// Per-fault final classification, aligned with the input list.
     pub statuses: Vec<FaultStatus>,
     /// Random-phase wall time, milliseconds.
@@ -536,6 +539,12 @@ impl TransitionAtpg {
     /// Run the campaign over `faults` (sites on
     /// [`circuit`](TransitionAtpg::circuit), which shares signal and
     /// gate ids with the machine's combinational core).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a constrained PODEM cube fails to detect its own target
+    /// as a pair: PODEM and the pair engine disagree, which is a bug in
+    /// one of them.
     #[must_use]
     pub fn run(&self, faults: &[TransitionFault]) -> TransitionAtpgReport {
         let circuit = self.scan.circuit();
@@ -548,6 +557,7 @@ impl TransitionAtpg {
         let mut pairs: Vec<CircuitTwoPattern> = Vec::new();
         let mut scratch: FaultSimScratch = FaultSimScratch::for_graph(&self.graph);
         let mut podem_calls = 0usize;
+        let mut podem_backtracks = 0usize;
 
         // Random phase: blocks of 64 free launch vectors, broadside
         // capture, fault dropping, credit-based pair keeping.
@@ -620,12 +630,14 @@ impl TransitionAtpg {
                 };
                 let constraint = (self.unrolled.signal_at(0, stem), f.init_value());
                 podem_calls += 1;
-                match generate_test_constrained(
+                let (result, backtracks) = search(
                     self.unrolled.circuit(),
-                    target,
+                    Some(target),
                     &[constraint],
                     &cfg.podem,
-                ) {
+                );
+                podem_backtracks += backtracks;
+                match result {
                     PodemResult::Test(cube) => {
                         let filled: Vec<bool> = cube
                             .iter()
@@ -659,7 +671,7 @@ impl TransitionAtpg {
                                 *status = FaultStatus::DetectedDeterministic;
                             }
                         }
-                        debug_assert!(
+                        assert!(
                             statuses[fi] == FaultStatus::DetectedDeterministic,
                             "constrained PODEM cube must detect its own target pair-wise"
                         );
@@ -711,6 +723,7 @@ impl TransitionAtpg {
             untestable: count(FaultStatus::Untestable),
             aborted: count(FaultStatus::Aborted),
             podem_calls,
+            podem_backtracks,
             statuses,
             random_ms,
             deterministic_ms,

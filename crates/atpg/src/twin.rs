@@ -1,10 +1,14 @@
 //! Twin-machine (good/faulty) three-valued simulation — the D-calculus
-//! engine underneath PODEM.
+//! PODEM reasons in.
 //!
 //! Instead of a literal five-valued algebra {0, 1, X, D, D̄}, each signal
 //! carries a `(good, faulty)` pair of three-valued logics; `D` is the pair
 //! `(1, 0)` and `D̄` is `(0, 1)`. This keeps the cell evaluation code shared
 //! with `sinw-switch`.
+//!
+//! [`simulate`] is a whole-circuit pass: the reference that the
+//! event-driven implication engine inside [`crate::podem`] is checked
+//! against after every step. No production path calls it.
 
 use crate::fault_list::{FaultSite, StuckAtFault};
 use sinw_switch::gate::{eval_cell, Circuit};
