@@ -31,29 +31,61 @@
 //! ```
 
 /// Read a `usize` knob from the environment, falling back to `default`
-/// when the variable is unset or unparsable — the shared convention of
-/// every `SINW_*` bench knob.
+/// when the variable is unset — the shared convention of every `SINW_*`
+/// bench knob.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when the variable is set
+/// but does not parse: silently measuring the default instead of the
+/// requested size would report the wrong experiment.
 #[must_use]
 pub fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    knob(key).map_or(default, |v| parse_knob(key, &v, parse_usize))
 }
 
 /// Read a comma-separated `usize` list knob from the environment (e.g.
 /// `SINW_PPSFP_WIDTHS=16,32,64`), falling back to `default` when the
-/// variable is unset, empty, or any element fails to parse — the scaling
-/// benches use this to sweep a curve instead of a point.
+/// variable is unset — the scaling benches use this to sweep a curve
+/// instead of a point.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when the variable is set
+/// but empty or any element fails to parse (`4,` included).
 #[must_use]
 pub fn env_usize_list(key: &str, default: &[usize]) -> Vec<usize> {
-    let parsed = std::env::var(key).ok().and_then(|v| {
-        v.split(',')
-            .map(|s| s.trim().parse().ok())
-            .collect::<Option<Vec<usize>>>()
-            .filter(|list| !list.is_empty())
-    });
-    parsed.unwrap_or_else(|| default.to_vec())
+    knob(key).map_or_else(
+        || default.to_vec(),
+        |v| parse_knob(key, &v, parse_usize_list),
+    )
+}
+
+/// The raw value of knob `key`, or `None` when it is unset.
+fn knob(key: &str) -> Option<String> {
+    match std::env::var(key) {
+        Ok(value) => Some(value),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(std::env::VarError::NotUnicode(value)) => {
+            panic!("bench knob {key}={value:?} is not valid UTF-8")
+        }
+    }
+}
+
+/// The parsed value of knob `key`; a value that does not parse panics
+/// with the knob's name and value.
+fn parse_knob<T>(key: &str, value: &str, parse: impl Fn(&str) -> Option<T>) -> T {
+    parse(value).unwrap_or_else(|| {
+        panic!("bench knob {key}={value:?} does not parse; unset it for the default")
+    })
+}
+
+fn parse_usize(value: &str) -> Option<usize> {
+    value.trim().parse().ok()
+}
+
+fn parse_usize_list(value: &str) -> Option<Vec<usize>> {
+    value.split(',').map(parse_usize).collect()
 }
 
 /// Write a machine-readable bench artifact to the `SINW_BENCH_JSON`
@@ -65,5 +97,28 @@ pub fn write_bench_json(default_path: &str, json: &str) {
     match std::fs::write(&path, json) {
         Ok(()) => println!("  machine-readable trajectory written to {path}"),
         Err(e) => eprintln!("  WARNING: could not write {path}: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn knob_values_parse_or_are_rejected() {
+        assert_eq!(parse_knob("K", "12", parse_usize), 12);
+        assert_eq!(parse_usize_list("16, 32,64"), Some(vec![16, 32, 64]));
+        assert_eq!(parse_usize_list("4"), Some(vec![4]));
+        for bad in ["4,", "", ",4", "4,,8", "x", "-1"] {
+            assert_eq!(parse_usize_list(bad), None, "{bad:?} must not parse");
+        }
+        assert_eq!(parse_usize(""), None);
+        assert_eq!(parse_usize("2.5"), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "SINW_DIAG_WIDTHS=\"4,\"")]
+    fn a_malformed_knob_panics_with_its_name_and_value() {
+        let _ = parse_knob("SINW_DIAG_WIDTHS", "4,", parse_usize_list);
     }
 }

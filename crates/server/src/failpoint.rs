@@ -38,13 +38,15 @@
 //! environment variable, parsed once on first hit:
 //!
 //! ```text
-//! SINW_FAILPOINTS="jobs.faultsim.chunk=panic@nth:3;store.write.rename=ioerr@prob:0.1:seed:42;snapshot.decode=delay:5"
+//! SINW_FAILPOINTS="jobs.faultsim.chunk=panic@nth:3;snapshot.write.rename=ioerr@prob:0.1:42;snapshot.decode=delay:5"
 //! ```
 //!
-//! Grammar: `point=action[@trigger]` joined by `;`. Actions are `panic`,
-//! `ioerr`, and `delay:<ms>`; triggers are `always` (the default),
-//! `nth:<k>`, `every:<k>`, `first:<n>`, and `prob:<p>:<seed>` with `p`
-//! a probability in `[0, 1]`.
+//! Grammar: `point=action[@trigger]` joined by `;`. `point` must be a
+//! name of the catalog below, so a misspelt schedule fails loudly
+//! instead of injecting nothing. Actions are `panic`, `ioerr`, and
+//! `delay:<ms>`; triggers are `always` (the default), `nth:<k>`,
+//! `every:<k>`, `first:<n>`, and `prob:<p>:<seed>` with `p` a
+//! probability in `[0, 1]`.
 //!
 //! ## Fail-point catalog
 //!
@@ -63,15 +65,30 @@
 //! | `snapshot.write.fsync` | between temp write and fsync | ioerr (temp removed, target intact), delay |
 //! | `snapshot.write.rename` | between fsync and the atomic rename | ioerr (temp **left behind** — simulated crash debris), delay |
 //! | `store.scan.read` | per file during the recovery scan | ioerr (file is quarantined), delay |
-//! | `net.accept` | per accepted TCP connection | ioerr (connection dropped before a handler spawns), delay |
-//! | `net.frame.read` | before every frame read in a connection handler | ioerr (best-effort error frame, connection closes), delay |
-//! | `net.frame.write` | before every response frame write | ioerr (write fails, connection closes), delay |
-//! | `net.progress.poll` | every poll of a streamed `AwaitJob` | delay (stretches the stream cadence); ioerr ignored (poll retried) |
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, Once, OnceLock, PoisonError};
 use std::time::Duration;
+
+/// Every fail point compiled into the service layer, in catalog order.
+/// [`parse_spec`] accepts only these names; [`configure`] and [`scoped`]
+/// take any name, so tests can arm private points.
+const CATALOG: [&str; 13] = [
+    "jobs.faultsim.chunk",
+    "jobs.signatures.chunk",
+    "jobs.campaign.run",
+    "jobs.diagnosis.run",
+    "jobs.worker.die",
+    "registry.compile",
+    "snapshot.encode",
+    "snapshot.decode",
+    "snapshot.read.io",
+    "snapshot.write.tmp",
+    "snapshot.write.fsync",
+    "snapshot.write.rename",
+    "store.scan.read",
+];
 
 /// What an armed fail point injects when its trigger fires.
 #[derive(Debug, Clone, PartialEq)]
@@ -311,7 +328,9 @@ pub fn scoped(point: &str, config: FailConfig) -> Guard {
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first malformed clause.
+/// Returns a human-readable description of the first malformed clause,
+/// including a point name outside the fail-point catalog (the error
+/// lists the valid names).
 pub fn parse_spec(spec: &str) -> Result<Vec<(String, FailConfig)>, String> {
     let mut out = Vec::new();
     for clause in spec.split(';') {
@@ -322,6 +341,12 @@ pub fn parse_spec(spec: &str) -> Result<Vec<(String, FailConfig)>, String> {
         let (name, rest) = clause
             .split_once('=')
             .ok_or_else(|| format!("clause '{clause}' has no '=': expected point=action"))?;
+        if !CATALOG.contains(&name) {
+            return Err(format!(
+                "point '{name}' in '{clause}' is not a fail point; valid points: {}",
+                CATALOG.join(", ")
+            ));
+        }
         let (action_str, trigger_str) = match rest.split_once('@') {
             Some((a, t)) => (a, Some(t)),
             None => (rest, None),
@@ -548,13 +573,17 @@ mod tests {
     fn spec_grammar_round_trips() {
         let _s = serial();
         let arms = parse_spec(
-            "a=panic; b=ioerr@nth:3 ;c=delay:25@every:4;d=ioerr@prob:0.25:99;e=panic@first:2",
+            "jobs.worker.die=panic; registry.compile=ioerr@nth:3 ;snapshot.encode=delay:25@every:4;\
+             store.scan.read=ioerr@prob:0.25:99;jobs.campaign.run=panic@first:2",
         )
         .expect("valid spec");
         assert_eq!(arms.len(), 5);
         assert_eq!(
             arms[0],
-            (String::from("a"), FailConfig::always(FailAction::Panic))
+            (
+                String::from("jobs.worker.die"),
+                FailConfig::always(FailAction::Panic)
+            )
         );
         assert_eq!(arms[1].1, FailConfig::nth(FailAction::IoError, 3));
         assert_eq!(
@@ -584,13 +613,59 @@ mod tests {
     fn spec_errors_are_descriptive() {
         let _s = serial();
         assert!(parse_spec("nonsense").unwrap_err().contains("no '='"));
-        assert!(parse_spec("a=frob").unwrap_err().contains("frob"));
-        assert!(parse_spec("a=delay:xs").unwrap_err().contains("delay"));
-        assert!(parse_spec("a=panic@prob:1.5:3")
+        assert!(parse_spec("snapshot.decode=frob")
+            .unwrap_err()
+            .contains("frob"));
+        assert!(parse_spec("snapshot.decode=delay:xs")
+            .unwrap_err()
+            .contains("delay"));
+        assert!(parse_spec("snapshot.decode=panic@prob:1.5:3")
             .unwrap_err()
             .contains("outside"));
-        assert!(parse_spec("a=panic@sometimes")
+        assert!(parse_spec("snapshot.decode=panic@sometimes")
             .unwrap_err()
             .contains("sometimes"));
+    }
+
+    #[test]
+    fn spec_accepts_only_catalog_points() {
+        let _s = serial();
+        let example = include_str!("failpoint.rs")
+            .lines()
+            .find_map(|l| l.strip_prefix("//! SINW_FAILPOINTS=\""))
+            .and_then(|l| l.strip_suffix('"'))
+            .expect("the module docs carry an example schedule");
+        assert_eq!(
+            parse_spec(example).expect("the doc example parses").len(),
+            3
+        );
+        for bad in ["store.write.rename=ioerr", "net.accept=ioerr"] {
+            let err = parse_spec(bad).unwrap_err();
+            assert!(err.contains("not a fail point"), "{bad}: {err}");
+            assert!(
+                CATALOG.iter().all(|point| err.contains(point)),
+                "{bad}: the error lists every valid point: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn catalog_matches_the_hit_sites() {
+        let sources = [
+            include_str!("jobs.rs"),
+            include_str!("registry.rs"),
+            include_str!("snapshot.rs"),
+            include_str!("store.rs"),
+        ];
+        let mut sites: Vec<&str> = sources
+            .iter()
+            .flat_map(|src| src.split("failpoint::hit(\"").skip(1))
+            .filter_map(|rest| rest.split_once('"').map(|(point, _)| point))
+            .collect();
+        sites.sort_unstable();
+        sites.dedup();
+        let mut catalog = CATALOG.to_vec();
+        catalog.sort_unstable();
+        assert_eq!(sites, catalog);
     }
 }

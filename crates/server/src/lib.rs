@@ -54,23 +54,6 @@
 //!   [`RegistryError`]s; eviction never invalidates an
 //!   [`Arc`](std::sync::Arc) already handed to a job.
 //!
-//! And a service nobody can reach is a library, so the crate puts the
-//! engine **on a wire**:
-//!
-//! * [`wire`] — the length-prefixed binary frame protocol (magic,
-//!   version, type, length, FNV-1a checksum — the `.sinw` header idiom
-//!   over TCP) with fully total decoding: any byte string produces a
-//!   typed [`WireError`], never a panic, and hostile lengths die before
-//!   allocation.
-//! * [`session`] — per-client sessions with byte and in-flight-job
-//!   quotas ([`SessionLimits`]), typed backpressure
-//!   ([`SessionError`]), and idle reaping that never strands a running
-//!   job.
-//! * [`net`] — the [`NetServer`] (std-only TCP, thread per connection)
-//!   composing registry + store + engine + sessions, streaming job
-//!   progress frame-by-frame over `AwaitJob`, and draining gracefully
-//!   on shutdown; plus the matching blocking [`NetClient`].
-//!
 //! ```
 //! use sinw_server::registry::CircuitRegistry;
 //! use sinw_switch::iscas::CSA16_BENCH;
@@ -94,33 +77,19 @@
 //! [`SnapshotStore`]: store::SnapshotStore
 //! [`RegistryError`]: registry::RegistryError
 //! [`CircuitRegistry::with_capacity_bytes`]: registry::CircuitRegistry::with_capacity_bytes
-//! [`WireError`]: wire::WireError
-//! [`SessionLimits`]: session::SessionLimits
-//! [`SessionError`]: session::SessionError
-//! [`NetServer`]: net::NetServer
-//! [`NetClient`]: net::NetClient
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod failpoint;
 pub mod jobs;
-pub mod net;
 pub mod registry;
-pub mod session;
 pub mod snapshot;
 pub mod store;
-pub mod wire;
 
 pub use jobs::{JobEngine, JobHandle, JobOutcome, JobPolicy, JobProgress, JobSpec};
-pub use net::{ClientError, NetClient, NetConfig, NetServer};
 pub use registry::{
     compile_circuit, CircuitRegistry, CompiledCircuit, RegistryError, RegistryStats,
 };
-pub use session::{SessionError, SessionLimits, SessionManager};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use store::{RecoveryReport, SnapshotStore, WarmStartReport};
-pub use wire::{
-    ErrorCode, Request, Response, WireError, WireJob, WireOutcome, WireStats, WIRE_MAGIC,
-    WIRE_VERSION,
-};

@@ -403,12 +403,6 @@ impl CircuitRegistry {
         }
     }
 
-    /// The configured byte capacity (`usize::MAX` when unbounded).
-    #[must_use]
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity
-    }
-
     /// The per-key slot, created empty on first sight. The global map
     /// lock is held only for the lookup, never during compilation.
     fn slot(&self, key: u64) -> Slot {

@@ -27,13 +27,10 @@ use sinw_atpg::faultsim::{capture_signatures, seeded_patterns};
 use sinw_atpg::simulate_faults;
 use sinw_server::failpoint::{self, FailAction, FailConfig};
 use sinw_server::jobs::{JobEngine, JobOutcome, JobPolicy, JobSpec};
-use sinw_server::net::{ClientError, NetClient, NetConfig, NetServer};
 use sinw_server::registry::{CircuitRegistry, CompiledCircuit};
 use sinw_server::store::SnapshotStore;
-use sinw_server::wire::{WireJob, WireOutcome};
 use sinw_switch::gate::Circuit;
 use sinw_switch::generate::{array_multiplier, carry_select_adder};
-use sinw_switch::iscas::{parse_bench, to_bench};
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -340,165 +337,4 @@ fn campaign_jobs_terminate_under_injection_and_match_when_clean() {
     }
     failpoint::clear();
     engine.shutdown();
-}
-
-/// The network leg of the soak: the full wire loop — connect →
-/// register → submit → stream → await — under a storm that injects
-/// faults into *both* the transport (accept, frame reads/writes,
-/// progress polling) and the engine beneath it (chunk I/O, worker
-/// deaths). Every attempt ends in a clean bit-identical result or a
-/// typed error — never a hang — and once the storm clears, the same
-/// still-running server serves clean results to a fresh client.
-#[test]
-fn wire_loop_survives_seeded_fault_matrices() {
-    let _serial = serial();
-    for seed in seeds() {
-        failpoint::clear();
-        let dir = scratch("wire", seed);
-
-        // References compiled from the exact bench text the clients
-        // will send over the wire.
-        let suite: Vec<(String, String)> = vec![
-            ("c17", Circuit::c17()),
-            ("mul3", array_multiplier(3)),
-            ("csel8", carry_select_adder(8, 4)),
-        ]
-        .into_iter()
-        .map(|(name, circuit)| (name.to_string(), to_bench(&circuit, name)))
-        .collect();
-        let refs: Vec<(Vec<Vec<bool>>, WireOutcome)> = suite
-            .iter()
-            .map(|(name, source)| {
-                let circuit = parse_bench(source).expect("exported bench parses");
-                let compiled = sinw_server::registry::compile_circuit(name, circuit);
-                let patterns = seeded_patterns(
-                    compiled.circuit().primary_inputs().len(),
-                    32,
-                    seed ^ 0x9E37_79B9_7F4A_7C15,
-                );
-                let report = simulate_faults(
-                    compiled.circuit(),
-                    &compiled.collapsed().representatives,
-                    &patterns,
-                    true,
-                );
-                (patterns, WireOutcome::from_fault_sim(&report))
-            })
-            .collect();
-
-        let config = NetConfig {
-            store_dir: Some(dir.clone()),
-            ..NetConfig::default()
-        };
-        let server = NetServer::bind("127.0.0.1:0", config).expect("bind");
-        let addr = server.local_addr();
-
-        // The storm: transport faults on every wire path plus the
-        // engine-side matrix underneath.
-        let io = |point: &str, p: f64, salt: u64| {
-            failpoint::configure(
-                point,
-                FailConfig::probability(FailAction::IoError, p, seed.wrapping_add(salt)),
-            );
-        };
-        io("net.accept", 0.20, 21);
-        io("net.frame.read", 0.10, 22);
-        io("net.frame.write", 0.10, 23);
-        io("net.progress.poll", 0.20, 24);
-        io("jobs.faultsim.chunk", 0.15, 25);
-        io("registry.compile", 0.20, 26);
-        io("snapshot.write.fsync", 0.20, 27);
-        failpoint::configure(
-            "jobs.worker.die",
-            FailConfig::probability(FailAction::Panic, 0.05, seed.wrapping_add(28)),
-        );
-
-        // Ride the storm: for each circuit, keep attempting the full
-        // loop until one attempt ends in a clean result. Every failed
-        // attempt must fail *typed* — a ClientError or a terminal
-        // non-success outcome — within the attempt's own timeouts.
-        let mut typed_failures = 0usize;
-        for ((name, source), (patterns, reference)) in suite.iter().zip(&refs) {
-            let mut clean = false;
-            for _attempt in 0..64 {
-                let attempt = || -> Result<Option<WireOutcome>, ClientError> {
-                    let mut client = NetClient::connect(addr)?;
-                    let (key, _) = client.register_bench(name, source)?;
-                    let job = client.submit(WireJob::FaultSim {
-                        key,
-                        patterns: patterns.clone(),
-                        drop_detected: true,
-                        threads: 2,
-                        timeout_ms: 30_000,
-                    })?;
-                    let outcome = client.await_job(job, |_, _| {})?;
-                    Ok(match outcome {
-                        WireOutcome::FaultSim { .. } => Some(outcome),
-                        // Typed non-success terminal outcomes are legal
-                        // under injection.
-                        WireOutcome::Failed { .. }
-                        | WireOutcome::Cancelled
-                        | WireOutcome::TimedOut => None,
-                        other => panic!("seed {seed}: wrong outcome family {other:?}"),
-                    })
-                };
-                match attempt() {
-                    Ok(Some(outcome)) => {
-                        assert_eq!(
-                            &outcome, reference,
-                            "seed {seed}: a surviving {name} result diverged from serial"
-                        );
-                        clean = true;
-                        break;
-                    }
-                    Ok(None) | Err(_) => typed_failures += 1,
-                }
-            }
-            assert!(
-                clean,
-                "seed {seed}: {name} never completed cleanly in 64 attempts"
-            );
-        }
-
-        // The storm ends; the SAME still-running server serves clean
-        // bit-identical results to a fresh client, first try.
-        failpoint::clear();
-        let mut client = NetClient::connect(addr).expect("post-storm connect");
-        for ((name, source), (patterns, reference)) in suite.iter().zip(&refs) {
-            let (key, _) = client.register_bench(name, source).expect("register");
-            let job = client
-                .submit(WireJob::FaultSim {
-                    key,
-                    patterns: patterns.clone(),
-                    drop_detected: true,
-                    threads: 2,
-                    timeout_ms: 120_000,
-                })
-                .expect("submit");
-            let outcome = client.await_job(job, |_, _| {}).expect("await");
-            assert_eq!(
-                &outcome, reference,
-                "seed {seed}: post-storm {name} result diverged"
-            );
-        }
-        let stats = client.stats().expect("stats");
-        assert!(
-            stats.jobs_submitted >= 3,
-            "seed {seed}: stats track the soak"
-        );
-        drop(client);
-        server.shutdown();
-
-        // Storm-era saves were best-effort; whatever reached the store
-        // must reboot intact and warm-start without a compile.
-        let (reopened, report) = SnapshotStore::open(&dir).expect("post-storm reboot");
-        let fresh = CircuitRegistry::new();
-        let warm = reopened.warm_start(&fresh).expect("warm start");
-        assert_eq!(warm.installed, report.loaded.len());
-        assert_eq!(fresh.stats().compiles, 0);
-
-        let _ = typed_failures; // informational: storms usually produce some
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    failpoint::clear();
 }

@@ -4,7 +4,8 @@
 //! to direct serial engine calls.
 //!
 //! Fail points are process-global, so every test in this binary runs
-//! under one serialization lock and clears the table when done.
+//! under one serialization lock and clears the table when done. The
+//! same lock lets one delayed-chunk test watch job progress advance.
 
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
@@ -17,6 +18,7 @@ use sinw_server::failpoint::{self, FailAction, FailConfig};
 use sinw_server::jobs::{JobEngine, JobOutcome, JobPolicy, JobSpec};
 use sinw_server::registry::{compile_circuit, CompiledCircuit};
 use sinw_switch::gate::Circuit;
+use sinw_switch::generate::carry_select_adder;
 
 fn serial() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -228,6 +230,74 @@ fn transient_io_fault_is_retried_to_success() {
             }
             other => panic!("expected Failed without retries, got {other:?}"),
         }
+    }
+    engine.shutdown();
+    failpoint::clear();
+}
+
+#[test]
+fn job_progress_advances_while_the_job_runs() {
+    let _serial = serial();
+    failpoint::clear();
+    let compiled = Arc::new(compile_circuit("csel16", carry_select_adder(16, 4)));
+    let patterns = Arc::new(seeded_patterns(
+        compiled.circuit().primary_inputs().len(),
+        48,
+        0xA11CE,
+    ));
+    let reference = simulate_faults(
+        compiled.circuit(),
+        &compiled.collapsed().representatives,
+        &patterns,
+        true,
+    );
+
+    let engine = JobEngine::new(1);
+    // Slow every chunk so the poller sees the job advance chunk by chunk.
+    let _delay = failpoint::scoped(
+        "jobs.faultsim.chunk",
+        FailConfig::always(FailAction::Delay(Duration::from_millis(10))),
+    );
+    let handle = engine.submit(JobSpec::FaultSim {
+        compiled: Arc::clone(&compiled),
+        patterns: Arc::clone(&patterns),
+        drop_detected: true,
+        threads: 1,
+    });
+    // `total` is 0 until the job is picked up and sized; after that it
+    // is fixed.
+    let mut observed = Vec::new();
+    let outcome = loop {
+        observed.push(handle.progress());
+        if let Some(outcome) = handle.wait_timeout(Duration::from_millis(1)) {
+            observed.push(handle.progress());
+            break outcome;
+        }
+    };
+    let sized: Vec<_> = observed.iter().filter(|p| p.total > 0).collect();
+    assert!(
+        observed.windows(2).all(|w| w[0].done <= w[1].done),
+        "done never decreases: {observed:?}"
+    );
+    assert!(
+        sized.windows(2).all(|w| w[0].total == w[1].total),
+        "total never changes once sized: {observed:?}"
+    );
+    let distinct: std::collections::BTreeSet<usize> = observed.iter().map(|p| p.done).collect();
+    assert!(
+        distinct.len() >= 2,
+        "expected >= 2 distinct progress values, saw {observed:?}"
+    );
+    assert!(
+        observed.iter().any(|p| 0 < p.done && p.done < p.total),
+        "a poll must catch the job part-way, saw {observed:?}"
+    );
+    let last = observed.last().expect("polled at least once");
+    assert!(last.total >= 2, "csel16 spans multiple chunks: {last:?}");
+    assert_eq!(last.done, last.total, "the final poll shows completion");
+    match outcome {
+        JobOutcome::FaultSim(report) => assert_eq!(report, reference),
+        other => panic!("expected a fault-sim result, got {other:?}"),
     }
     engine.shutdown();
     failpoint::clear();
